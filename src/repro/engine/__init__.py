@@ -5,7 +5,9 @@
   can affect, and repairs the shared graph's indexes in one pass;
 - :class:`ContinuousQuery` — one registered query: results, routing
   signature, and a match-delta change feed;
-- :class:`UpdateRouter` — the label/predicate-keyed routing index;
+- :class:`UpdateRouter` — the label/predicate-keyed routing index, with
+  distance legs inverted through the substrate's ball-field postings
+  (:class:`RouterStats` counts its leg probes and oracle consults);
 - :class:`SharedDistanceSubstrate` — pool-level shared distance
   structures (landmark vectors / matrix / ball fields) leased by bounded
   queries so upkeep is paid once per pool, not once per query;
@@ -36,12 +38,13 @@ from .feeds import ChangeFeed, MatchDelta
 from .plan import LegView, PlannedQuery, SharedJoin, SharedPlan
 from .pool import FlushReport, MatcherPool, PoolStats
 from .query import ContinuousQuery, build_index
-from .router import UpdateRouter
+from .router import RouterStats, UpdateRouter
 
 __all__ = [
     "MatcherPool",
     "ContinuousQuery",
     "UpdateRouter",
+    "RouterStats",
     "SharedPlan",
     "SharedJoin",
     "LegView",

@@ -24,7 +24,10 @@ queries under updates (Berkholz et al.): the substrate owns
   member sets are leased from the pool's
   :class:`~repro.engine.eligibility.SharedEligibilityIndex` (one set per
   distinct predicate, shared with the queries' own candidate views) and
-  flip notifications delivered through its listener hooks;
+  flip notifications delivered through its listener hooks; the forward
+  fields keep a shared posting index ``node -> {fields holding it}``
+  (:attr:`SharedDistanceSubstrate.postings`) exact, which the pool's
+  router walks to find the fields covering an edge;
 - at most **one**
   :class:`~repro.graphs.reachability.IntervalReachabilityIndex` per pool
   (``'interval'`` queries share the SCC-interval labelling) plus a
@@ -65,7 +68,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
 from ..graphs.reachability import IntervalReachabilityIndex, ReachClosure
-from ..incremental.ballsummary import BallField
+from ..incremental.ballsummary import BallField, Postings
 from ..landmarks.selection import LandmarkBudget
 from ..landmarks.vector import EligibleLegMinima, LandmarkIndex
 from ..patterns.predicate import Predicate
@@ -148,6 +151,12 @@ class SharedDistanceSubstrate:
         # effective max of the leased radii; leases below the cap read
         # their own stratum via BallField.within.
         self._fields: Dict[FieldKey, List[Any]] = {}
+        # Inverted index over the live *forward* fields: node -> the
+        # fields whose ball holds it.  The fields keep it exact; the
+        # router walks it to find the fields covering an edge's source.
+        # Reverse fields need no postings: a target check is one
+        # ``dist.get``.
+        self.postings: Postings = {}
         # Shared SCC-interval reachability oracle ('interval' mode).
         self._reach: Optional[IntervalReachabilityIndex] = None
         self._reach_refs = 0
@@ -273,7 +282,13 @@ class SharedDistanceSubstrate:
         entry = self._fields.get(key)
         if entry is None:
             eset = self._eligibility.lease(predicate)
-            field = BallField(self._graph, eset.members, radius, reverse)
+            field = BallField(
+                self._graph,
+                eset.members,
+                radius,
+                reverse,
+                postings=None if reverse else self.postings,
+            )
             token = self._eligibility.add_listener(
                 predicate, field.source_gained, field.source_lost
             )
@@ -305,6 +320,7 @@ class SharedDistanceSubstrate:
             radii[radius] = count
         if entry[1] <= 0:
             del self._fields[key]
+            entry[0].detach_postings()
             self._eligibility.remove_listener(predicate, entry[2])
             self._eligibility.release(predicate)
             return
@@ -392,8 +408,18 @@ class SharedDistanceSubstrate:
             # Deletions only destroy reachability: the oracle stays a
             # sound over-approximation and rebuilds lazily per its budget.
             self._reach.notify_edges_deleted(len(edges))
+        # A deletion can only change a field whose ball holds the
+        # endpoint the edge supported (the target, or the source in a
+        # reverse field); one set-disjointness test per field skips the
+        # rest without a per-edge Python loop.
+        targets = {y for _, y in edges}
+        sources = {x for x, _ in edges}
         for entry in self._fields.values():
-            entry[0].shrink_edges(edges)
+            field = entry[0]
+            if not field.dist.keys().isdisjoint(
+                sources if field.reverse else targets
+            ):
+                field.shrink_edges(edges)
             self.stats.structure_batches += 1
 
     def observe_inserted(self, edges: List[Tuple[Node, Node]]) -> None:
@@ -418,8 +444,17 @@ class SharedDistanceSubstrate:
             # which happens before insertion routing, since the pool calls
             # observe_inserted first.
             self._reach.notify_edges_inserted(len(edges))
+        # An insertion can only grow a field from its near endpoint (the
+        # source, or the target in a reverse field) when that endpoint is
+        # already in the ball.
+        sources = {x for x, _ in edges}
+        targets = {y for _, y in edges}
         for entry in self._fields.values():
-            entry[0].grow_edges(edges)
+            field = entry[0]
+            if not field.dist.keys().isdisjoint(
+                targets if field.reverse else sources
+            ):
+                field.grow_edges(edges)
             self.stats.structure_batches += 1
 
     # Node events (additions, attribute flips) flow through the pool's
@@ -496,9 +531,29 @@ class SharedDistanceSubstrate:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Leased member sets must mirror predicate satisfaction (checked
-        by the eligibility substrate); fields must be exact; the shared
+        by the eligibility substrate); fields must be exact; the postings
+        must list exactly each live forward field's ball; the shared
         minima must read live leased sets only."""
         self._eligibility.check_invariants()
+        live = {
+            entry[0] for (_p, reverse), entry in self._fields.items()
+            if not reverse
+        }
+        expected: Postings = {}
+        for field in live:
+            for v in field.dist:
+                expected.setdefault(v, set()).add(field)
+        for v, fields in self.postings.items():
+            assert fields, f"empty posting entry left for {v!r}"
+            stray = fields - live
+            assert not stray, (
+                f"posting for {v!r} references released fields {stray}"
+            )
+        drift = {
+            v for v in self.postings.keys() | expected.keys()
+            if self.postings.get(v) != expected.get(v)
+        }
+        assert not drift, f"ball-field postings drift at {drift}"
         for (predicate, _reverse), entry in self._fields.items():
             field = entry[0]
             field.check_exact()

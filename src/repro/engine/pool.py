@@ -12,9 +12,10 @@ against one evolving graph).  Per flush the pool:
 2. routes every surviving update through the
    :class:`~repro.engine.router.UpdateRouter` to the subset of queries
    whose candidate space it can touch — eq-keys and endpoint predicates
-   for simulation/iso/bound-1 queries, the per-query ``can_affect_edge``
-   distance oracle for bound-k queries — so queries outside the subset do
-   **zero** repair work;
+   for simulation/iso/bound-1 queries, distance legs for bound-k queries
+   (shared ball fields found through the substrate's node postings,
+   one consult per distinct landmark/interval leg key) — so queries
+   outside the subset do **zero** repair work;
 3. mutates the shared graph exactly once, invoking each routed query's
    repair entry points around the edit (bounded simulation needs its
    pre-deletion balls, so deletions are prepared before the edit, and
@@ -74,7 +75,7 @@ from .eligibility import SharedEligibilityIndex
 from .feeds import MatchDelta
 from .plan import SharedPlan
 from .query import ContinuousQuery
-from .router import UpdateRouter
+from .router import RouterStats, UpdateRouter
 
 DISTANCE_SCOPES = ("shared", "per-query")
 ELIGIBILITY_SCOPES = ("shared", "per-query")
@@ -111,9 +112,12 @@ class PoolStats:
         "plan_leases",
         "expired_edges",
         "expired_queries",
+        "router",
     )
 
     def __init__(self) -> None:
+        # Distance-routing work, filled by the pool's UpdateRouter.
+        self.router = RouterStats()
         self.reset()
 
     def reset(self) -> None:
@@ -141,6 +145,7 @@ class PoolStats:
         # standing queries auto-unregistered by a register-time TTL.
         self.expired_edges = 0
         self.expired_queries = 0
+        self.router.reset()
 
     def __repr__(self) -> str:
         return (
@@ -236,7 +241,7 @@ class MatcherPool:
         # is 'per-query' — sharing is opt-in per pool or per register.
         self.plan_scope = _check_scope(plan_scope, "plan_scope", PLAN_SCOPES)
         self.plan = SharedPlan(self)
-        self._router = UpdateRouter()
+        self._router = UpdateRouter(stats=self.stats.router)
         self._queries: Dict[str, ContinuousQuery] = {}
         self._pending_edges: List[Update] = []
         self._pending_nodes: List[Tuple[Node, Dict[str, Any]]] = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
-from ..incremental.incbsim import BoundedSimulationIndex
+from ..incremental.incbsim import BoundedSimulationIndex, OracleLeg, RoutingLeg
 from ..incremental.inciso import IsoIndex
 from ..incremental.incsim import SimulationIndex
 from ..matching.isomorphism import Embedding
@@ -355,7 +355,7 @@ class ContinuousQuery:
         """Can an edge between nodes with these attrs affect this query?
 
         Endpoint-attribute stage only; distance-routed queries are
-        additionally consulted through :meth:`can_affect_edge`.  With a
+        additionally routed through their :meth:`routing_legs`.  With a
         shared eligibility substrate and endpoint ids supplied, the
         confirm is a pair of member-set lookups on the shared sets (no
         predicate re-evaluation) — sound either way, since the substrate
@@ -379,9 +379,22 @@ class ContinuousQuery:
 
         Only meaningful for ``distance_routed`` queries; backed by the
         bounded index's maintained distance structure (eligible-ball
-        summary / landmark vectors / matrix rows).
+        summary / landmark vectors / matrix rows).  The pool's router
+        calls it only for private structures; shared ones are routed
+        through :meth:`routing_legs`, which must agree with it.
         """
         return self.index.can_affect_edge(v, w)
+
+    def routing_legs(self) -> List[RoutingLeg]:
+        """The distance oracle as routing legs for the pool's router (see
+        :meth:`~repro.incremental.incbsim.BoundedSimulationIndex.routing_legs`).
+        An oracle over private structures is one leg keyed by this query:
+        :meth:`can_affect_edge` itself.  Only for ``distance_routed``
+        queries."""
+        legs = self.index.routing_legs()
+        if legs is None:
+            legs = [OracleLeg(("query", id(self)), self.can_affect_edge)]
+        return legs
 
     def touches_node(self, attrs: Mapping[str, Any]) -> bool:
         """Can a node with these attrs be eligible for any pattern node?"""

@@ -14,10 +14,11 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
   inequality-only) fall into a wildcard-node bucket;
 - bounded queries whose bounds exceed 1 (or ``*``) are **distance-routed**:
   an edge between unlabeled nodes can shorten or break a witness path, so
-  endpoint attributes alone are unsound — instead each such query's
-  :meth:`~repro.engine.query.ContinuousQuery.can_affect_edge` oracle
-  (eligible-ball summary / landmark vectors / matrix rows) proves or
-  refutes relevance per edge;
+  endpoint attributes alone are unsound.  Each such query hands the router
+  its oracle split into per-pattern-edge *legs* over the shared distance
+  substrate (:meth:`~repro.engine.query.ContinuousQuery.routing_legs`),
+  and the router inverts them (see stage 3 below) instead of asking every
+  query's :meth:`~repro.engine.query.ContinuousQuery.can_affect_edge`;
 - bounded queries with a trivial (``TRUE``) node predicate — for which a
   brand-new attribute-less node is instantly eligible — observe every
   edge via the wildcard-edge bucket *only* in per-query distance scope;
@@ -35,22 +36,65 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
 
 Edge routing is therefore three-staged: eq-key candidate lookup, endpoint
 predicate confirm (``touches_edge`` — member-set lookups under shared
-eligibility), and the distance oracle for distance-routed queries.
-Queries that fail every stage do **zero** work for the update.
+eligibility), and the distance legs for distance-routed queries.  Stage 3
+costs what covers the edge, not the number of registered queries:
+
+- **field legs** (``bfs``/``matrix`` modes, trivial-predicate landmark
+  queries) sit in a table ``src field -> {(tgt field, r): queries}``.  The
+  substrate's posting index maps a node to the forward ball fields that
+  hold it, so an edge ``(v, w)`` walks only the fields covering ``v`` and,
+  per leg with ``d(v) <= r``, checks ``w`` with one ``dist`` lookup in the
+  reverse field;
+- **oracle legs** (landmark minima, interval reach closures) cannot be
+  posted cheaply; they are keyed by what decides them —
+  ``(pred_u, pred_u2, r)`` and ``(pred_u, pred_u2)`` — and consulted once
+  per distinct key per edge, the verdict fanned out to every query
+  holding the key;
+- a query with private distance structures (``distance_scope=
+  'per-query'``) is its own oracle-leg key: one ``can_affect_edge``
+  consult per query per edge.
+
+:class:`RouterStats` counts both costs: ``leg_probes`` (field-leg checks)
+and ``oracle_consults`` (oracle-leg and per-query consults).  Queries
+that fail every stage do **zero** work for the update.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Set
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from ..incremental.ballsummary import BallField, Postings
+from ..incremental.incbsim import FieldLeg, RoutingLeg
 from ..patterns.predicate import Predicate
 from .query import ContinuousQuery, EqKey
+
+
+class RouterStats:
+    """Distance-routing work counters: ``leg_probes`` counts field-leg
+    checks made through the posting index, ``oracle_consults`` counts
+    oracle-leg consults (one per distinct leg key per routed edge)."""
+
+    __slots__ = ("leg_probes", "oracle_consults")
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.leg_probes = 0
+        self.oracle_consults = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"RouterStats(leg_probes={self.leg_probes}, "
+            f"oracle_consults={self.oracle_consults})"
+        )
 
 
 class UpdateRouter:
     """Maps updates to the registered queries they can possibly affect."""
 
-    def __init__(self) -> None:
+    def __init__(self, stats: Optional[RouterStats] = None) -> None:
+        self.stats = stats if stats is not None else RouterStats()
         self._queries: Dict[int, ContinuousQuery] = {}
         self._order: Dict[int, int] = {}  # registration order for stable output
         self._next_rank = 0
@@ -58,7 +102,16 @@ class UpdateRouter:
         self._by_attr: Dict[str, Set[int]] = {}
         self._wild_node: Set[int] = set()
         self._wild_edge: Set[int] = set()
-        self._dist: Set[int] = set()
+        # Distance legs: src field -> {(tgt field, r): qids}, walked
+        # through the substrate's posting index; and oracle legs, key ->
+        # [probe, qids].  _legs remembers what each query registered so
+        # unregister can undo it.
+        self._postings: Optional[Postings] = None
+        self._field_legs: Dict[
+            BallField, Dict[Tuple[BallField, Optional[int]], Set[int]]
+        ] = {}
+        self._oracle_legs: Dict[Any, List[Any]] = {}
+        self._legs: Dict[int, List[RoutingLeg]] = {}
         # Shared-eligibility queries, indexed by interned predicate for
         # flip routing; they are excluded from the legacy attr-name and
         # node-predicate stages.
@@ -91,7 +144,48 @@ class UpdateRouter:
         if query.routes_all_edges:
             self._wild_edge.add(qid)
         if query.distance_routed:
-            self._dist.add(qid)
+            legs = query.routing_legs()
+            self._legs[qid] = legs
+            for leg in legs:
+                self._add_leg(qid, leg)
+
+    def _add_leg(self, qid: int, leg: RoutingLeg) -> None:
+        if isinstance(leg, FieldLeg):
+            postings = leg.src.postings
+            if self._postings is None:
+                self._postings = postings
+            elif postings is not self._postings:
+                raise ValueError(
+                    "field legs from different distance substrates"
+                )
+            by_tgt = self._field_legs.setdefault(leg.src, {})
+            by_tgt.setdefault((leg.tgt, leg.radius), set()).add(qid)
+        else:
+            entry = self._oracle_legs.get(leg.key)
+            if entry is None:
+                self._oracle_legs[leg.key] = [leg.probe, {qid}]
+            else:
+                entry[1].add(qid)
+
+    def _drop_leg(self, qid: int, leg: RoutingLeg) -> None:
+        if isinstance(leg, FieldLeg):
+            by_tgt = self._field_legs.get(leg.src)
+            if by_tgt is None:
+                return
+            slot = (leg.tgt, leg.radius)
+            qids = by_tgt.get(slot)
+            if qids is not None:
+                qids.discard(qid)
+                if not qids:
+                    del by_tgt[slot]
+                    if not by_tgt:
+                        del self._field_legs[leg.src]
+        else:
+            entry = self._oracle_legs.get(leg.key)
+            if entry is not None:
+                entry[1].discard(qid)
+                if not entry[1]:
+                    del self._oracle_legs[leg.key]
 
     def unregister(self, query: ContinuousQuery) -> None:
         qid = id(query)
@@ -120,7 +214,8 @@ class UpdateRouter:
         self._flip_routed.discard(qid)
         self._wild_node.discard(qid)
         self._wild_edge.discard(qid)
-        self._dist.discard(qid)
+        for leg in self._legs.pop(qid, ()):
+            self._drop_leg(qid, leg)
 
     # ------------------------------------------------------------------
     # Candidate selection
@@ -162,31 +257,43 @@ class UpdateRouter:
            bounded patterns (an edge only enters their bookkeeping when
            its endpoints can play adjacent pattern nodes);
         2. the wildcard-edge bucket (trivial-predicate bounded queries);
-        3. for distance-routed queries not already selected, the
-           per-query ``can_affect_edge`` oracle — an endpoint-predicate
-           pairing (a possible direct pair) also routes them without an
-           oracle consult.
+        3. the distance legs: field legs through the posting index of the
+           forward fields covering ``v``, and one consult per oracle-leg
+           key (a per-query-scope query is its own key).
 
-        Callers must time the call against the query's distance
-        structures: pre-edit for deletions, post-``observe`` for
-        insertions (see :meth:`MatcherPool.flush`).
+        The selection equals stages 1-2 plus ``{q : q.can_affect_edge(v,
+        w)}`` over the distance-routed queries.  Callers must time the
+        call against the distance structures: pre-edit for deletions,
+        post-``observe`` for insertions (see :meth:`MatcherPool.flush`).
         """
         cands = self._node_candidates(v_attrs) & self._node_candidates(w_attrs)
         selected = set(self._wild_edge)
         for qid in cands:
-            if qid in selected:
-                continue
-            q = self._queries[qid]
-            if q.touches_edge(v_attrs, w_attrs, v, w):
+            if qid not in selected and self._queries[qid].touches_edge(
+                v_attrs, w_attrs, v, w
+            ):
                 selected.add(qid)
-            elif qid in self._dist and q.can_affect_edge(v, w):
-                selected.add(qid)
-        for qid in self._dist:
-            # touches_edge implies eq/wildcard candidacy, so queries
-            # outside ``cands`` are decided by the oracle alone.
-            if qid not in selected and qid not in cands:
-                if self._queries[qid].can_affect_edge(v, w):
-                    selected.add(qid)
+        stats = self.stats
+        if self._field_legs:
+            for src in self._postings.get(v, ()):
+                by_tgt = self._field_legs.get(src)
+                if by_tgt is None:
+                    continue
+                dv = src.dist[v]
+                stats.leg_probes += len(by_tgt)
+                for (tgt, r), qids in by_tgt.items():
+                    if r is None:
+                        if w in tgt.dist:
+                            selected |= qids
+                    elif dv <= r:
+                        dw = tgt.dist.get(w)
+                        if dw is not None and dw <= r:
+                            selected |= qids
+        if self._oracle_legs:
+            stats.oracle_consults += len(self._oracle_legs)
+            for probe, qids in self._oracle_legs.values():
+                if probe(v, w):
+                    selected |= qids
         return self._sorted(selected)
 
     def route_node(self, attrs: Mapping[str, Any]) -> List[ContinuousQuery]:

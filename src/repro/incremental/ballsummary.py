@@ -54,6 +54,8 @@ from ..graphs.digraph import DiGraph, Node
 from ..patterns.pattern import Bound, PatternNode
 
 PatternEdge = Tuple[PatternNode, PatternNode]
+# node -> the fields whose dist holds it (see BallField.postings).
+Postings = Dict[Node, Set["BallField"]]
 
 
 def _capped_multi_source(
@@ -91,9 +93,18 @@ class BallField:
     at distance 0.  ``reverse=True`` measures distances *to* the sources
     (BFS over reversed edges) — the target-side field of a pattern edge.
     All edge notifications expect the graph to have been mutated already.
+
+    ``postings`` is an optional inverted index ``node -> {fields whose
+    dist holds node}`` shared by several fields: every site that adds or
+    removes a ``dist`` key keeps this field's entries in it exact, so a
+    caller can ask which fields cover a node with one dict lookup instead
+    of probing every field.  :meth:`detach_postings` withdraws them.
     """
 
-    __slots__ = ("_graph", "sources", "radius", "reverse", "dist", "rebuilds")
+    __slots__ = (
+        "_graph", "sources", "radius", "reverse", "dist", "rebuilds",
+        "postings",
+    )
 
     def __init__(
         self,
@@ -101,11 +112,13 @@ class BallField:
         sources: Set[Node],
         radius: Optional[int],
         reverse: bool = False,
+        postings: Optional[Postings] = None,
     ) -> None:
         self._graph = graph
         self.sources = sources
         self.radius = radius
         self.reverse = reverse
+        self.postings = postings
         self.dist: Dict[Node, int] = {}
         # Full from-scratch recomputations, the initial build included.
         # Steady-state maintenance (shrink/grow/source flips/re-caps) is
@@ -116,9 +129,35 @@ class BallField:
 
     def rebuild(self) -> None:
         self.rebuilds += 1
+        self.detach_postings()
         self.dist = _capped_multi_source(
             self._graph, self.sources, self.radius, self.reverse
         )
+        if self.postings is not None:
+            for v in self.dist:
+                self._post(v)
+
+    # ------------------------------------------------------------------
+    # Postings: node -> covering fields, kept equal to dist's key set
+    # ------------------------------------------------------------------
+    def _post(self, v: Node) -> None:
+        fields = self.postings.get(v)
+        if fields is None:
+            self.postings[v] = {self}
+        else:
+            fields.add(self)
+
+    def _unpost(self, v: Node) -> None:
+        fields = self.postings[v]
+        fields.discard(self)
+        if not fields:
+            del self.postings[v]
+
+    def detach_postings(self) -> None:
+        """Withdraw every posting entry of this field (release)."""
+        if self.postings is not None:
+            for v in self.dist:
+                self._unpost(v)
 
     def __contains__(self, v: Node) -> bool:
         return v in self.dist
@@ -168,6 +207,9 @@ class BallField:
             drop = [v for v, d in self.dist.items() if d > radius]
             for v in drop:
                 del self.dist[v]
+            if self.postings is not None:
+                for v in drop:
+                    self._unpost(v)
         else:
             # Growing (possibly to unbounded): relax from the old frontier.
             seeds = [(v, d) for v, d in self.dist.items() if d == old]
@@ -184,6 +226,7 @@ class BallField:
         )
         radius = self.radius
         dist = self.dist
+        postings = self.postings
         tie = count()
         heap = [(d, next(tie), v) for v, d in seeds]
         heapq.heapify(heap)
@@ -195,7 +238,13 @@ class BallField:
                 continue
             nd = d + 1
             for w in neighbours(v):
-                if nd < dist.get(w, nd + 1):
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = nd
+                    heapq.heappush(heap, (nd, next(tie), w))
+                    if postings is not None:
+                        self._post(w)
+                elif nd < dw:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, next(tie), w))
 
@@ -210,9 +259,12 @@ class BallField:
             d = dist.get(near)
             if d is None or (r is not None and d + 1 > r):
                 continue
-            if dist.get(far, d + 2) > d + 1:
+            d_far = dist.get(far)
+            if d_far is None or d_far > d + 1:
                 dist[far] = d + 1
                 seeds.append((far, d + 1))
+                if d_far is None and self.postings is not None:
+                    self._post(far)
         if seeds:
             self._grow(seeds)
 
@@ -220,8 +272,11 @@ class BallField:
         """``v`` joined ``sources`` (already added by the owner)."""
         if v not in self._graph:
             return
-        if self.dist.get(v, 1) > 0:
+        d = self.dist.get(v)
+        if d is None or d > 0:
             self.dist[v] = 0
+            if d is None and self.postings is not None:
+                self._post(v)
             self._grow([(v, 0)])
 
     # ------------------------------------------------------------------
@@ -252,7 +307,9 @@ class BallField:
         BFS layer, processing by layer finds every affected node exactly
         once.  Phase 2 deletes the affected entries, reseeds each from its
         unaffected boundary (or distance 0 if it is a pinned source), and
-        runs the usual capped relaxation.
+        runs the usual capped relaxation.  Affected nodes keep their
+        posting entries through the repair (a reseeded node re-posts
+        idempotently); only those left without a distance are unposted.
         """
         dist = self.dist
         support = self._graph.children if self.reverse else self._graph.parents
@@ -300,6 +357,10 @@ class BallField:
                 seeds.append((v, best))
         if seeds:
             self._grow(seeds)
+        if self.postings is not None:
+            for v in affected:
+                if v not in dist:
+                    self._unpost(v)
 
     # ------------------------------------------------------------------
     # Invariants (tests)

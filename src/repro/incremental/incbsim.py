@@ -56,12 +56,16 @@ The distance-aware routing oracle (:meth:`can_affect_edge`) consults
 per-landmark minima over the eligible sets in ``landmark`` mode (one
 O(|lm|) early-exit scan per pattern edge) and an exactly-maintained
 eligible-ball summary (or the substrate's shared fields) in ``bfs`` and
-``matrix`` modes.
+``matrix`` modes.  With a substrate, :meth:`routing_legs` exposes the same
+oracle as per-pattern-edge legs over shared structures, which the pool's
+router inverts instead of consulting each query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union,
+)
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
@@ -79,6 +83,35 @@ from .types import Update, delete as upd_delete, insert as upd_insert, net_updat
 
 PatternEdge = Tuple[PatternNode, PatternNode]
 LAYER_ATTR = "__layer__"
+
+
+class FieldLeg(NamedTuple):
+    """One pattern edge routed through shared ball fields: an edge
+    ``(x, y)`` can matter iff ``x`` lies within ``radius`` in the forward
+    field ``src`` and ``y`` within ``radius`` in the reverse field
+    ``tgt`` (``radius=None`` is unbounded)."""
+
+    src: BallField
+    tgt: BallField
+    radius: Optional[int]
+
+
+class OracleLeg(NamedTuple):
+    """One pattern edge routed by a shared oracle that has no postings
+    (landmark minima, reach closures).  Legs with equal ``key`` return
+    equal verdicts, so one ``probe(x, y)`` per key serves them all."""
+
+    key: Tuple
+    probe: Callable[[Node, Node], bool]
+
+
+RoutingLeg = Union[FieldLeg, OracleLeg]
+
+
+def _radius(bound: Bound) -> Optional[int]:
+    """Leg radius of a pattern-edge bound: witness paths of length ``k``
+    put each endpoint within ``k - 1`` of an anchor."""
+    return None if bound is None else bound - 1
 
 
 def _layered_pattern(pattern: Pattern) -> Pattern:
@@ -568,7 +601,7 @@ class BoundedSimulationIndex:
         bins: Dict[Bound, Dict[Node, int]] = {}
         bouts: Dict[Bound, Dict[Node, int]] = {}
         for bound in self._distinct_bounds():
-            radius = None if bound is None else bound - 1
+            radius = _radius(bound)
             bin_ball = dict(ancestors_within(self.graph, x, radius))
             bin_ball[x] = 0
             bout_ball = dict(descendants_within(self.graph, y, radius))
@@ -986,7 +1019,7 @@ class BoundedSimulationIndex:
         if self._shared_fields is None:
             fields: Dict[PatternEdge, Tuple[BallField, BallField]] = {}
             for (u, u2), bound in self._bounds.items():
-                r = None if bound is None else bound - 1
+                r = _radius(bound)
                 src_key = (self.pattern.predicate(u), r, False)
                 tgt_key = (self.pattern.predicate(u2), r, True)
                 fields[(u, u2)] = (
@@ -1035,6 +1068,52 @@ class BoundedSimulationIndex:
         # re-lease substrate structures nobody will ever release again.
         self.substrate = None
 
+    def routing_legs(self) -> Optional[List[RoutingLeg]]:
+        """:meth:`can_affect_edge` split into one leg per pattern edge
+        over the substrate's shared structures, for the pool's inverted
+        router: the oracle admits ``(x, y)`` iff some leg does.
+
+        - ``bfs``/``matrix`` modes (and trivial-predicate landmark
+          queries) read the shared ball fields: :class:`FieldLeg`;
+        - ``landmark`` mode reads the shared leg minima, one verdict per
+          ``(pred_u, pred_u2, r)``: :class:`OracleLeg`;
+        - ``interval`` mode reads the shared reach closures, keyed by
+          (predicate, direction), one verdict per ``(pred_u, pred_u2)``:
+          :class:`OracleLeg`.
+
+        ``None`` without a substrate: private structures are consulted
+        per query.  Only meaningful for :meth:`distance_routed` indexes.
+        """
+        substrate = self.substrate
+        if substrate is None:
+            return None
+        pred = self.pattern.predicate
+        legs: List[RoutingLeg] = []
+        if self.distance_mode == "interval":
+            closures = self._ensure_reach_closures()
+            for u, u2 in self._bounds:
+                src, tgt = closures[(u, u2)]
+                legs.append(OracleLeg(
+                    ("interval", pred(u), pred(u2)),
+                    lambda x, y, s=src, t=tgt: s.contains(x) and t.contains(y),
+                ))
+        elif self._routes_via_shared_fields():
+            fields = self._ensure_shared_fields()
+            for edge, bound in self._bounds.items():
+                legs.append(FieldLeg(*fields[edge], _radius(bound)))
+        else:
+            for (u, u2), bound in self._bounds.items():
+                r = _radius(bound)
+
+                def probe(x, y, pu=pred(u), pu2=pred(u2), r=r):
+                    minima = substrate.leg_minima()
+                    return minima.reaches_within(
+                        pu, x, r
+                    ) and minima.reached_within(pu2, y, r)
+
+                legs.append(OracleLeg(("landmark", pred(u), pred(u2), r), probe))
+        return legs
+
     def can_affect_edge(self, x: Node, y: Node) -> bool:
         """Sound routing oracle: can an edge update between ``x`` and
         ``y`` create or break any pair?
@@ -1082,7 +1161,7 @@ class BoundedSimulationIndex:
             if self.substrate is not None:
                 minima = self.substrate.leg_minima()
                 for (u, u2), bound in self._bounds.items():
-                    r = None if bound is None else bound - 1
+                    r = _radius(bound)
                     if minima.reaches_within(
                         self.pattern.predicate(u), x, r
                     ) and minima.reached_within(
@@ -1091,7 +1170,7 @@ class BoundedSimulationIndex:
                         return True
                 return False
             for (u, u2), bound in self._bounds.items():
-                r = None if bound is None else bound - 1
+                r = _radius(bound)
                 if self._minima.reaches_within(
                     u, x, r
                 ) and self._minima.reached_within(u2, y, r):
@@ -1100,7 +1179,7 @@ class BoundedSimulationIndex:
         if self.substrate is not None:
             fields = self._ensure_shared_fields()
             for edge, bound in self._bounds.items():
-                r = None if bound is None else bound - 1
+                r = _radius(bound)
                 src, tgt = fields[edge]
                 # Stratified consult: the shared field may be capped
                 # higher (another lease's stratum); read our own radius.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, MutableSequence, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 
@@ -132,7 +132,7 @@ class DynamicSSSP:
     def on_delete(self, x: Node, y: Node) -> int:
         """Repair after edge (x, y) was deleted.  Returns #nodes updated."""
         _, b = self._orient(x, y)
-        return self._repair([b])
+        return self._repair([b], [])
 
     def _has_support(self, v: Node, affected: Set[Node]) -> bool:
         """Does v keep a tight in-edge from an unaffected node?"""
@@ -150,7 +150,16 @@ class DynamicSSSP:
                 return True
         return False
 
-    def _repair(self, seeds: Iterable[Node]) -> int:
+    def _repair(
+        self, seeds: Iterable[Node], decreased: MutableSequence[Node]
+    ) -> int:
+        """Two-phase RR repair from the deletion-affected ``seeds``.
+
+        Appends to ``decreased`` every affected node that phase 2 settles
+        *below* its old distance.  Pure deletions never do that; in a
+        mixed batch an inserted edge can, and the node's unaffected
+        children then need the caller's decrease cascade.
+        """
         # Phase 1: identify the affected set.
         affected: Set[Node] = set()
         queue = deque(v for v in seeds if v in self._graph)
@@ -190,8 +199,10 @@ class DynamicSSSP:
             if v in self._dist or best.get(v) != d:
                 continue
             self._dist[v] = d
-            if old.get(v) != d:
+            if old[v] != d:
                 changed += 1
+                if d < old[v]:
+                    decreased.append(v)
             for w in self._out(v):
                 self.stats.edges_scanned += 1
                 if w in affected and w not in self._dist:
@@ -213,11 +224,13 @@ class DynamicSSSP:
         Deletions are repaired together (one identify + one Dijkstra pass),
         then insertions run one combined decrease cascade — the batching
         that makes ``IncLM`` beat per-update ``InsLM + DelLM`` (Fig. 20(f)).
+        The cascade also starts from every deletion-affected node that an
+        inserted edge settled below its old distance.
         """
         seeds = [self._orient(x, y)[1] for x, y in deleted]
-        changed = self._repair(seeds) if seeds else 0
-        # Combined decrease pass over all inserted edges.
         queue: deque = deque()
+        changed = self._repair(seeds, queue) if seeds else 0
+        # Combined decrease pass over all inserted edges.
         for x, y in inserted:
             a, b = self._orient(x, y)
             da = self._dist.get(a)

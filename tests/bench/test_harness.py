@@ -138,6 +138,14 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
             assert {"n", "pool_ms", "naive_ms", "routed", "skipped"} <= set(row)
         routed = [r["routed"] for r in scenario["results"]]
         assert len(set(routed)) == 1, (name, routed)
+    # Distance routing's headline: leg probes + oracle consults per flush
+    # are EXACTLY flat in N and nonzero (hard-gated by the scenario);
+    # the growth race only fires at full scale, so here it is ungated.
+    bounded = doc["scenarios"]["bounded"]
+    assert bounded["route_work_flat"] is True
+    assert bounded["growth_ok"] is None
+    work = {r["route_work_per_flush"] for r in bounded["results"]}
+    assert len(work) == 1 and work.pop() > 0
     shared = doc["scenarios"]["bounded-shared"]
     assert shared["results"]
     for row in shared["results"]:
@@ -216,8 +224,9 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
         assert {
             "n", "dict_ms", "columnar_ms", "dict_over_columnar",
             "landmark_ms", "consults", "rebuilds", "eligible_members",
-            "consults_per_flush",
+            "consults_per_update",
         } <= set(row)
+        assert row["consults"] > 0
     # At this tiny scale every dict flush is sub-millisecond, so the
     # backend race is reported ungated (None); the full run hard-gates
     # a True verdict.  False would mean the gate fired and failed.

@@ -143,6 +143,37 @@ class TestBatch:
         sssp.on_batch([(1, 2)], [(1, 2)])
         assert_exact(sssp, g)
 
+    def test_insert_lowers_deletion_affected_node_then_its_children(self):
+        """A mixed batch whose insertion settles a deletion-affected node
+        below its old distance must relax that node's unaffected
+        children too.  Node 4 (old distance 5) loses its only parent edge
+        (1, 4) and regains distance 2 through the inserted (2, 4); its
+        child 1 must then drop from 4 to 3."""
+        g = DiGraph()
+        for x, y in [(0, 2), (1, 4), (2, 3), (3, 5), (4, 1), (4, 5), (5, 1)]:
+            g.add_edge(x, y)
+        sssp = DynamicSSSP(g, 0)
+        assert sssp.dist(1) == 4 and sssp.dist(4) == 5
+        g.remove_edge(1, 4)
+        g.add_edge(2, 4)
+        sssp.on_batch([(2, 4)], [(1, 4)])
+        assert sssp.dist(4) == 2
+        assert sssp.dist(1) == 3
+        assert_exact(sssp, g)
+
+    def test_reverse_mixed_batch_lowers_affected_children(self):
+        """The same repair in the reverse orientation (distances *to* the
+        source), on the mirrored reproducer."""
+        g = DiGraph()
+        for x, y in [(0, 2), (1, 4), (2, 3), (3, 5), (4, 1), (4, 5), (5, 1)]:
+            g.add_edge(y, x)
+        sssp = DynamicSSSP(g, 0, reverse=True)
+        g.remove_edge(4, 1)
+        g.add_edge(4, 2)
+        sssp.on_batch([(4, 2)], [(4, 1)])
+        assert sssp.dist(1) == 3
+        assert_exact(sssp, g)
+
     def test_recompute_matches_incremental(self):
         g = synthetic_graph(30, 70, seed=5)
         sssp = DynamicSSSP(g, 3)
