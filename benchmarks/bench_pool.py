@@ -18,23 +18,17 @@ The scenarios, all over one shared graph holding labelled communities
   N), the shared substrate maintains ONE (upkeep ~flat in N).  The table
   reports flush time and the number of structure-level update
   applications per scope;
-- ``overlap``: N simulation queries over only k << N *distinct*
-  predicate sets (query i reuses partition i % k's pattern), driven by a
-  mixed stream of attribute flips and edge churn, under
-  ``eligibility_scope='shared'`` vs ``'per-query'``.  The shared
-  eligibility substrate interns each distinct predicate once and updates
-  one member set per node event, so predicate evaluations per flush stay
-  ~flat as N grows; the per-query scope re-evaluates per query and grows
-  linearly.  The table reports flush time and predicate evaluations per
-  scope;
 - ``overlap-atoms``: N conjunction queries whose predicates are all
   drawn from one fixed 6-atom vocabulary (18 distinct conjunctions),
-  under the same scope split.  The substrate's *atom tier* evaluates
-  each distinct atom once per node event regardless of how many
-  conjunctions compose it, so shared-scope per-flush atom evaluations
-  must be *exactly* flat in N once the vocabulary is interned — the
-  scenario enforces equality and fails otherwise; per-query scope
-  re-evaluates whole conjunctions per query (~linear in N);
+  driven by label/score flips plus edge churn, under
+  ``eligibility_scope='shared'`` vs ``'per-query'``.  The substrate's
+  *atom tier* evaluates each distinct atom at most once per node event
+  regardless of how many conjunctions compose it (a label merge only
+  the label atoms equal to the old or new label), so shared-scope
+  per-flush atom evaluations must be *exactly* flat in N once the
+  vocabulary is interned — the scenario enforces equality and fails
+  otherwise; per-query scope re-evaluates whole conjunctions per query
+  (~linear in N);
 - ``shared-plan``: N bound-2 two-leg patterns drawn from only 4 distinct
   *leg vocabularies* (query i re-spells partition ``i % 4``'s pattern
   with its own node names), under ``plan_scope='shared'`` vs
@@ -409,156 +403,6 @@ def run_shared_substrate_scenario(sizes, graph, updates, reps):
     }
 
 
-def overlap_stream(graph, k, num_ops, seed=13):
-    """A mixed node/edge op stream across the first ``k`` partitions.
-
-    Attribute flips dominate (they are what drives predicate
-    re-evaluation); edge churn keeps the simulation repair honest.
-    """
-    rng = random.Random(seed)
-    members = {
-        i: sorted(v for v in graph.nodes() if str(v).startswith(f"c{i}n"))
-        for i in range(k)
-    }
-    ops = []
-    for _ in range(num_ops):
-        i = rng.randrange(k)
-        labels = cluster_labels(i)
-        if rng.random() < 0.6:
-            v = rng.choice(members[i])
-            ops.append(("node", v, {"label": rng.choice(labels)}))
-        else:
-            v, w = rng.choice(members[i]), rng.choice(members[i])
-            if v == w:
-                continue
-            if rng.random() < 0.6:
-                ops.append(("edge", insert(v, w)))
-            else:
-                ops.append(("edge", delete(v, w)))
-    return ops
-
-
-def run_overlap_pool(graph, n, k, ops, eligibility_scope):
-    """One pool flush over the op stream; returns (elapsed, evals, pool)."""
-    pool = MatcherPool(graph, eligibility_scope=eligibility_scope)
-    for i in range(n):
-        pool.register(sim_pattern(i % k), semantics="simulation", name=f"p{i}")
-    for op in ops:
-        if op[0] == "node":
-            pool.queue_node(op[1], **op[2])
-        else:
-            pool.queue(op[1])
-    before = predmod.evaluation_count()
-    start = time.perf_counter()
-    pool.flush()
-    elapsed = time.perf_counter() - start
-    evals = predmod.evaluation_count() - before
-    return elapsed, evals, pool
-
-
-def run_overlap_naive(base, k, ops):
-    """One independent SimulationIndex per *distinct* pattern, fed the
-    stream in flush order (node ops first, then the coalesced edge batch)
-    — the correctness oracle for both eligibility scopes."""
-    indexes = [SimulationIndex(sim_pattern(i), base.copy()) for i in range(k)]
-    for idx in indexes:
-        for op in ops:
-            if op[0] == "node":
-                idx.update_node_attrs(op[1], **op[2])
-        idx.apply_batch([op[1] for op in ops if op[0] == "edge"])
-    return indexes
-
-
-def run_overlap_scenario(sizes, graph, reps, num_ops, k=4):
-    """Shared vs per-query predicate eligibility, N queries over k << N
-    distinct predicate sets.
-
-    'evals' counts Predicate.satisfied_by applications during the flush:
-    the shared eligibility substrate evaluates each distinct predicate
-    once per node event (~flat in N for fixed k); per-query scope pays
-    per registered query (~linear in N).
-    """
-    k = min(k, max(sizes))
-    print(
-        f"\n== scenario: overlap "
-        f"(N simulation queries over {k} distinct predicate sets, "
-        f"shared vs per-query eligibility) =="
-    )
-    print(
-        f"{'N':>4} {'shared ms':>10} {'perq ms':>10} {'perq/shared':>12} "
-        f"{'shared evals':>13} {'perq evals':>11}"
-    )
-    ok = True
-    results = []
-    times = {"shared": {}, "per-query": {}}
-    evals = {"shared": {}, "per-query": {}}
-    ops = overlap_stream(graph, k, num_ops)
-    for n in sizes:
-        row = {"n": n}
-        pools = {}
-        for scope in ("shared", "per-query"):
-            scope_times = []
-            scope_evals = pool = None
-            for _ in range(reps):
-                t, e, pool = run_overlap_pool(graph.copy(), n, k, ops, scope)
-                scope_times.append(t)
-                scope_evals = e
-            times[scope][n] = statistics.median(scope_times)
-            evals[scope][n] = scope_evals
-            pools[scope] = pool
-            key = "shared" if scope == "shared" else "per_query"
-            row[f"{key}_ms"] = round(times[scope][n] * 1e3, 3)
-            row[f"{key}_evals"] = scope_evals
-        # Correctness: both scopes must match the naive per-pattern result.
-        naive = run_overlap_naive(graph, k, ops)
-        for i in range(n):
-            expect = as_pairs(naive[i % k].matches())
-            for scope, pool in pools.items():
-                if as_pairs(pool.query(f"p{i}").matches()) != expect:
-                    print(
-                        f"MISMATCH overlap scope={scope} N={n} pattern {i}",
-                        file=sys.stderr,
-                    )
-                    ok = False
-        ratio = (
-            times["per-query"][n] / times["shared"][n]
-            if times["shared"][n] > 0
-            else float("inf")
-        )
-        row["per_query_over_shared"] = round(ratio, 2)
-        print(
-            f"{n:>4} {row['shared_ms']:>10.2f} {row['per_query_ms']:>10.2f} "
-            f"{ratio:>11.1f}x {row['shared_evals']:>13} "
-            f"{row['per_query_evals']:>11}"
-        )
-        results.append(row)
-    hi = max(sizes)
-    # Until N >= k the pool holds fewer than k distinct patterns, so the
-    # interned-predicate count itself still grows; the flat-in-N claim
-    # starts at full predicate diversity.
-    lo = min((n for n in sizes if n >= k), default=min(sizes))
-    eval_growth = {
-        scope: (evals[scope][hi] / evals[scope][lo] if evals[scope][lo] else 0.0)
-        for scope in evals
-    }
-    print(
-        f"predicate evaluations per flush grew "
-        f"{eval_growth['shared']:.2f}x (shared) vs "
-        f"{eval_growth['per-query']:.2f}x (per-query) "
-        f"from N={lo} to N={hi} ({max(1, hi // lo)}x more queries, "
-        f"{k} distinct predicate sets)"
-    )
-    return ok, {
-        "sizes": sizes,
-        "reps": reps,
-        "distinct_patterns": k,
-        "eval_growth_from": lo,
-        "results": results,
-        "eval_growth_shared": round(eval_growth["shared"], 3),
-        "eval_growth_per_query": round(eval_growth["per-query"], 3),
-    }
-
-
 _SCORE_ATOMS = (("score", ">", 0), ("score", ">", 1), ("score", "<=", 2))
 _SCORE_COMBOS = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2))
 
@@ -643,9 +487,9 @@ def run_overlap_atoms_scenario(sizes, graph, reps, num_ops):
     """Shared vs per-query eligibility, N conjunction queries over a fixed
     6-atom vocabulary (18 distinct conjunctions).
 
-    'atom evals' counts Atom.satisfied_by applications during the flush.
-    The two-tier substrate evaluates each *atom* once per node event —
-    for n >= 3 (vocabulary fully interned) shared-scope counts must be
+    'atom evals' counts Atom.satisfied_by applications during the flush
+    (numpy bulk verdicts included).  The two-tier substrate evaluates
+    each *atom* at most once per node event — for n >= 3 (vocabulary fully interned) shared-scope counts must be
     exactly equal across all N, which this scenario enforces.  Per-query
     scope re-evaluates whole conjunctions per registered query (~linear
     in N).
@@ -1553,7 +1397,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--scenario",
-        choices=[*SCENARIOS, "bounded-shared", "overlap", "overlap-atoms",
+        choices=[*SCENARIOS, "bounded-shared", "overlap-atoms",
                  "shared-plan", "reach-oracle", "kernels", "temporal",
                  "all"],
         default="all",
@@ -1599,9 +1443,8 @@ def main(argv=None) -> int:
     )
 
     if args.scenario == "all":
-        scenarios = [*SCENARIOS, "bounded-shared", "overlap",
-                     "overlap-atoms", "shared-plan", "reach-oracle",
-                     "kernels", "temporal"]
+        scenarios = [*SCENARIOS, "bounded-shared", "overlap-atoms",
+                     "shared-plan", "reach-oracle", "kernels", "temporal"]
     else:
         scenarios = [args.scenario]
     ok = True
@@ -1618,10 +1461,6 @@ def main(argv=None) -> int:
             shared_sizes = [n for n in sizes if n <= 16] or sizes[:1]
             s_ok, s_doc = run_shared_substrate_scenario(
                 shared_sizes, graph, updates, reps
-            )
-        elif scenario == "overlap":
-            s_ok, s_doc = run_overlap_scenario(
-                sizes, graph, reps, num_updates
             )
         elif scenario == "overlap-atoms":
             s_ok, s_doc = run_overlap_atoms_scenario(

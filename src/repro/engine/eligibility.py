@@ -40,10 +40,37 @@ Keppeler–Schweikardt) applied to predicates, taken down to the atom level:
   and the shared landmark leg-minima cache), in set-already-mutated order,
   so every downstream structure sees each flip exactly once.
 
-The pool invokes :meth:`observe_node_added` / :meth:`observe_attr_change`
-once per node event during flush phase A, batches the returned *flips*
-(gained/lost predicate verdicts) across the whole flush, and routes one
-repair pass to exactly the queries whose patterns use a flipped predicate.
+A node event costs what it can flip, not what is interned:
+
+- **equality-value atom index.**  The atoms on each attribute are split
+  into equality atoms indexed by their constant (:class:`AttrAtoms`) and
+  the rest (ordering, ``!=``, and equalities on values whose hash does
+  not agree with ``==``).  A merge of attribute ``A`` on ``v`` evaluates
+  the non-indexed atoms on ``A`` plus the equality atoms equal to ``v``'s
+  pre-batch value and to its final value — no other equality atom's
+  verdict can have moved.  The pre-batch value is the first old value
+  the batch reports for ``(v, A)``, so duplicate events stay net.  Values
+  that are not exact ``str``/``int``/``float``/``bool``/``None`` (or are
+  NaN), and events that name attributes without old values, fall back to
+  every atom on ``A``;
+- **pivot-bucketed reconcile.**  Each conjunction picks one equality
+  atom with an indexable constant as its *pivot*.  Every other atom of
+  the conjunction files it under ``(pivot attribute, pivot value)``; the
+  pivot atom itself (and a pivot-less conjunction's atoms) keep it
+  unbucketed.  An atom flip at ``v`` reconciles the unbucketed
+  dependents plus the bucket matching ``v``'s *current* value of each
+  pivot attribute.  This is sound: a conjunction ``v`` can gain needs its
+  pivot true now, and one ``v`` can lose had its pivot true before — if
+  the pivot no longer holds, the pivot atom flipped too and reconciles
+  the conjunction unbucketed.  Affected entries are walked in interning
+  order (a per-entry sequence number), never the whole entry table;
+- **per-query flip delivery** (in the router): each routed query
+  receives only the flips of its own predicates.
+
+The pool hands one flush's node events to :meth:`observe_events`, with
+the old values of the merged attributes, and routes the returned net
+*flips* (gained/lost predicate verdicts) to exactly the queries whose
+patterns use a flipped predicate.
 
 ``eligibility_scope='per-query'`` (pool- or per-register) keeps the
 private-copy fallback, which the differential fuzz harness pits against
@@ -52,9 +79,21 @@ this substrate flush for flush.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..graphs.digraph import DiGraph, Node
+from ..graphs.kernels import SAFE_EQ_TYPES
 from ..patterns.predicate import Atom, Predicate, note_atom_evaluations
 
 # (on_gain, on_loss) callbacks invoked after the member set was mutated.
@@ -63,8 +102,29 @@ Listener = Tuple[Callable[[Node], None], Callable[[Node], None]]
 Flip = Tuple[Predicate, bool]
 # One batched flip: (predicate, node, gained?) — see ``observe_events``.
 EventFlip = Tuple[Predicate, Node, bool]
-# One node event: (node, changed attr names or None for "all", is_new?).
-NodeEvent = Tuple[Node, Optional[Iterable[str]], bool]
+# One node event: (node, changes, is_new?).  ``changes`` maps each merged
+# attribute to its value before the merge (``ABSENT`` if the node lacked
+# it), or lists merged names whose old values are unknown, or is None for
+# "evaluate every atom".
+NodeEvent = Tuple[Node, Union[None, Mapping[str, Any], Iterable[str]], bool]
+
+
+# Old value of a merged attribute the node did not carry.
+ABSENT: Any = object()
+# Old value of a merged attribute the caller did not report.
+_UNKNOWN: Any = object()
+
+_SAFE_TYPES = frozenset(SAFE_EQ_TYPES)
+
+
+def _indexable(value: Any) -> bool:
+    """Can ``value`` be found by hash among equality-atom constants?
+
+    Only exact builtin scalars qualify: their hashes agree with ``==``
+    across types, while a subclass or foreign type may define ``==``
+    without a matching hash.  NaN equals nothing, so it is not indexed.
+    """
+    return type(value) in _SAFE_TYPES and value == value
 
 
 class EligibilityLeaseError(RuntimeError):
@@ -108,27 +168,120 @@ class AtomEntry:
     """One distinct atom's posting set — the substrate's bottom tier.
 
     ``members`` holds the nodes currently satisfying the atom; **only**
-    the owning :class:`SharedEligibilityIndex` mutates it.  ``dependents``
-    lists the conjunction :class:`EligibleSet`\\ s whose verdicts read this
-    atom, so an atom flip knows exactly which views to reconcile.  Atoms
-    are refcounted by the conjunctions leasing them, not by consumers
+    the owning :class:`SharedEligibilityIndex` mutates it.  The
+    conjunction :class:`EligibleSet`\\ s whose verdicts read this atom
+    sit in ``unpivoted`` or, keyed by their pivot, in ``pivots``
+    (pivot attribute -> pivot value -> entries), so an atom flip at a
+    node reconciles only the views that node can be in.  Atoms are
+    refcounted by the conjunctions leasing them, not by consumers
     directly.
     """
 
-    __slots__ = ("atom", "members", "version", "refs", "dependents")
+    __slots__ = ("atom", "members", "version", "refs", "unpivoted", "pivots")
 
     def __init__(self, atom: Atom, members: Set[Node]) -> None:
         self.atom = atom
         self.members = members
         self.version = 0
         self.refs = 0
-        self.dependents: List["EligibleSet"] = []
+        self.unpivoted: List["EligibleSet"] = []
+        self.pivots: Dict[str, Dict[Any, List["EligibleSet"]]] = {}
+
+    def _bucket(
+        self, entry: "EligibleSet", create: bool = False
+    ) -> List["EligibleSet"]:
+        """The list ``entry`` is filed in here: ``unpivoted`` for a
+        pivot-less conjunction and on the pivot atom itself, else the
+        bucket of its pivot's ``(attribute, value)``."""
+        pivot = entry.pivot
+        if pivot is None or pivot is self:
+            return self.unpivoted
+        name, value = pivot.atom.attribute, pivot.atom.value
+        if create:
+            return self.pivots.setdefault(name, {}).setdefault(value, [])
+        return self.pivots.get(name, {}).get(value, [])
+
+    def attach(self, entry: "EligibleSet") -> None:
+        self._bucket(entry, create=True).append(entry)
+
+    def detach(self, entry: "EligibleSet") -> None:
+        bucket = self._bucket(entry)
+        bucket.remove(entry)
+        if not bucket and bucket is not self.unpivoted:
+            name, value = entry.pivot.atom.attribute, entry.pivot.atom.value
+            del self.pivots[name][value]
+            if not self.pivots[name]:
+                del self.pivots[name]
+
+    def holds(self, entry: "EligibleSet") -> bool:
+        """Is ``entry`` filed in its own bucket here?"""
+        return any(dep is entry for dep in self._bucket(entry))
+
+    def dependents(self) -> List["EligibleSet"]:
+        """Every conjunction view reading this atom, bucketed or not."""
+        out = list(self.unpivoted)
+        for by_value in self.pivots.values():
+            for entries in by_value.values():
+                out.extend(entries)
+        return out
 
     def __repr__(self) -> str:
         return (
             f"AtomEntry({self.atom!r}, |members|={len(self.members)}, "
-            f"refs={self.refs}, dependents={len(self.dependents)})"
+            f"refs={self.refs}, dependents={len(self.dependents())})"
         )
+
+
+class AttrAtoms:
+    """The interned atoms on one attribute, split for value lookup:
+    ``by_value`` maps an indexable equality constant to its atom, and
+    ``scan`` holds every other atom (always evaluated on a merge)."""
+
+    __slots__ = ("by_value", "scan")
+
+    def __init__(self) -> None:
+        self.by_value: Dict[Any, AtomEntry] = {}
+        self.scan: Dict[Atom, AtomEntry] = {}
+
+    @staticmethod
+    def _indexed(atom: Atom) -> bool:
+        return atom.op == "=" and _indexable(atom.value)
+
+    def add(self, ae: AtomEntry) -> None:
+        if self._indexed(ae.atom):
+            self.by_value[ae.atom.value] = ae
+        else:
+            self.scan[ae.atom] = ae
+
+    def remove(self, ae: AtomEntry) -> None:
+        if self._indexed(ae.atom):
+            del self.by_value[ae.atom.value]
+        else:
+            del self.scan[ae.atom]
+
+    def __len__(self) -> int:
+        return len(self.by_value) + len(self.scan)
+
+    def everything(self) -> List[AtomEntry]:
+        return [*self.scan.values(), *self.by_value.values()]
+
+    def candidates(self, old: Any, new: Any) -> List[AtomEntry]:
+        """The atoms whose verdict a change ``old -> new`` can move."""
+        if (old is not ABSENT and not _indexable(old)) or (
+            new is not ABSENT and not _indexable(new)
+        ):
+            return self.everything()
+        out = list(self.scan.values())
+        by_value = self.by_value
+        if old is not ABSENT:
+            ae = by_value.get(old)
+            if ae is not None:
+                out.append(ae)
+        if new is not ABSENT and (old is ABSENT or new != old):
+            ae = by_value.get(new)
+            if ae is not None:
+                out.append(ae)
+        return out
 
 
 class EligibleSet:
@@ -138,22 +291,27 @@ class EligibleSet:
     posting sets, maintained incrementally; **only** the owning
     :class:`SharedEligibilityIndex` mutates it (in place: downstream
     aliases — ball-field source sets, leg-minima caches, the queries'
-    edge-routing pairs — hold the *object*, never a copy).  ``version``
-    bumps on every membership change — an introspection/change-detection
-    counter (surfaced via ``live_entries``) for consumers that poll rather
-    than subscribe; the current downstream caches are push-invalidated
-    through the flip ``listeners`` instead.
+    edge-routing pairs, leased iso candidate sets — hold the *object*,
+    never a copy).  ``version`` bumps on every membership change — an
+    introspection/change-detection counter (surfaced via
+    ``live_entries``) for consumers that poll rather than subscribe; the
+    current downstream caches are push-invalidated through the flip
+    ``listeners`` instead.
 
     ``atom_entries`` is empty for the trivial (TRUE) predicate — every
     node is a member — and for unsatisfiable conjunctions — no node ever
-    is, and nothing needs upkeep.
+    is, and nothing needs upkeep.  ``pivot`` is the equality atom the
+    other atoms bucket this view under (None when the conjunction has no
+    indexable equality atom); ``seq`` is the interning sequence number
+    that orders flips within a batch.
     """
 
     __slots__ = (
         "predicate",
         "members",
         "atom_entries",
-        "attr_names",
+        "pivot",
+        "seq",
         "version",
         "refs",
         "listeners",
@@ -164,15 +322,19 @@ class EligibleSet:
         predicate: Predicate,
         members: Set[Node],
         atom_entries: Tuple[AtomEntry, ...] = (),
+        seq: int = 0,
     ) -> None:
         self.predicate = predicate
         self.members = members
         self.atom_entries = atom_entries
-        # The attributes the verdict depends on: an attr merge touching
-        # none of them cannot flip membership, so observation skips the
-        # evaluation entirely (the attr-name routing stage, kept at the
-        # substrate level — now per atom via ``_by_attr``).
-        self.attr_names = frozenset(a.attribute for a in predicate.atoms)
+        self.pivot: Optional[AtomEntry] = next(
+            (
+                ae for ae in atom_entries
+                if ae.atom.op == "=" and _indexable(ae.atom.value)
+            ),
+            None,
+        )
+        self.seq = seq
         self.version = 0
         self.refs = 0
         self.listeners: List[Listener] = []
@@ -198,11 +360,12 @@ class SharedEligibilityIndex:
         self._graph = graph
         self._entries: Dict[Predicate, EligibleSet] = {}
         self._atoms: Dict[Atom, AtomEntry] = {}
-        # attribute name -> {atom: entry}: the attr-change pruning index.
-        self._by_attr: Dict[str, Dict[Atom, AtomEntry]] = {}
+        # attribute name -> its atoms, split for equality-value lookup.
+        self._by_attr: Dict[str, AttrAtoms] = {}
         # Trivial (TRUE) entries: no atoms to flip them, but a fresh node
         # always gains them, so node-added must reconcile them explicitly.
         self._trivial: List[EligibleSet] = []
+        self._next_seq = 0
         self.stats = EligibilityStats()
 
     # ------------------------------------------------------------------
@@ -227,21 +390,23 @@ class SharedEligibilityIndex:
 
     def _build(self, predicate: Predicate) -> EligibleSet:
         self.stats.sets_built += 1
+        seq = self._next_seq
+        self._next_seq += 1
         if predicate.is_unsatisfiable():
             # Contradictory conjunction: empty forever, zero upkeep — no
             # atom leases, nothing for observation to reconcile.
-            return EligibleSet(predicate, set())
+            return EligibleSet(predicate, set(), seq=seq)
         if predicate.is_trivial():
-            entry = EligibleSet(predicate, set(self._graph.nodes()))
+            entry = EligibleSet(predicate, set(self._graph.nodes()), seq=seq)
             self._trivial.append(entry)
             return entry
         atom_entries = tuple(
             self._lease_atom(atom) for atom in predicate.atoms
         )
         members = set.intersection(*(ae.members for ae in atom_entries))
-        entry = EligibleSet(predicate, members, atom_entries)
+        entry = EligibleSet(predicate, members, atom_entries, seq)
         for ae in atom_entries:
-            ae.dependents.append(entry)
+            ae.attach(entry)
         return entry
 
     def _lease_atom(self, atom: Atom) -> AtomEntry:
@@ -252,7 +417,7 @@ class SharedEligibilityIndex:
             self.stats.atom_sets_built += 1
             ae = AtomEntry(atom, members)
             self._atoms[atom] = ae
-            self._by_attr.setdefault(atom.attribute, {})[atom] = ae
+            self._by_attr.setdefault(atom.attribute, AttrAtoms()).add(ae)
         ae.refs += 1
         return ae
 
@@ -303,13 +468,13 @@ class SharedEligibilityIndex:
     def _drop(self, entry: EligibleSet) -> None:
         del self._entries[entry.predicate]
         for ae in entry.atom_entries:
-            ae.dependents.remove(entry)
+            ae.detach(entry)
             ae.refs -= 1
             if ae.refs == 0:
                 del self._atoms[ae.atom]
-                bucket = self._by_attr[ae.atom.attribute]
-                del bucket[ae.atom]
-                if not bucket:
+                attr_atoms = self._by_attr[ae.atom.attribute]
+                attr_atoms.remove(ae)
+                if not attr_atoms:
                     del self._by_attr[ae.atom.attribute]
         if not entry.atom_entries and entry.predicate.is_trivial():
             self._trivial.remove(entry)
@@ -366,32 +531,35 @@ class SharedEligibilityIndex:
             for p, _v, gained in self.observe_events([(v, None, True)])
         ]
 
-    def observe_attr_change(self, v: Node, changed_names=None) -> List[Flip]:
+    def observe_attr_change(self, v: Node, changed=None) -> List[Flip]:
         """Node ``v``'s attributes changed (already merged into the graph).
 
         Membership before the change is read off the posting sets
         themselves, so no pre-edit attribute snapshot is needed.
-        ``changed_names`` (the merged attribute names, when the caller
-        has them) prunes the scan to the atoms over those attributes: an
-        atom mentioning none of them cannot flip, so it is not evaluated
-        at all — and a conjunction none of whose atoms flipped is not
-        reconciled.
+        ``changed`` prunes the scan: the merged attribute names (every
+        atom on them is evaluated), or a mapping of those names to their
+        pre-merge values (only the non-equality atoms and the equality
+        atoms matching the old or new value are).  ``None`` evaluates
+        every atom.
         """
         return [
             (p, gained)
-            for p, _v, gained in self.observe_events(
-                [(v, changed_names, False)]
-            )
+            for p, _v, gained in self.observe_events([(v, changed, False)])
         ]
 
     def observe_events(self, events: Iterable[NodeEvent]) -> List[EventFlip]:
         """Observe a whole batch of node events in one pass.
 
-        ``events`` holds ``(node, changed_names, is_new)`` triples in
-        flush order, post-edit (the graph already reflects every event;
-        duplicate nodes are fine — touched names accumulate, and an
-        ``is_new`` or names-less event widens the node to "evaluate every
-        atom").  Atoms are evaluated **column-major**: one bulk call per
+        ``events`` holds ``(node, changes, is_new)`` triples in flush
+        order, post-edit: the graph already reflects every event.
+        ``changes`` maps each merged attribute to its value before that
+        event (``ABSENT`` when the node lacked it), or lists merged names
+        whose old values are unknown; ``None`` or ``is_new`` widens the
+        node to "evaluate every atom".  Duplicate nodes are fine: the
+        first old value reported for a ``(node, attribute)`` is its
+        pre-batch value.  Per attribute, only the atoms whose verdict the
+        pre-batch -> final change can move are evaluated (see
+        :meth:`AttrAtoms.candidates`), **column-major**: one bulk call per
         distinct atom over all its touched nodes, dispatched to the
         columnar backend's vectorized kernel when available (per-node
         ``satisfied_by`` twin otherwise).  Membership *before* the batch
@@ -401,53 +569,59 @@ class SharedEligibilityIndex:
         transient gain/loss pairs inside the batch never materializing.
         Listeners fire once per net flip, after the member set mutated.
         """
-        # Fold duplicate events into one touched-name set per node
-        # (None = evaluate all atoms); fresh nodes also gain the trivial
-        # (TRUE) entries, which no atom flip would ever reconcile.
-        touched: Dict[Node, Optional[Set[str]]] = {}
+        # Fold duplicate events into one {attribute: pre-batch value} map
+        # per node (None = evaluate all atoms); fresh nodes also gain the
+        # trivial (TRUE) entries, which no atom flip would ever reconcile.
+        touched: Dict[Node, Optional[Dict[str, Any]]] = {}
         fresh: List[Node] = []
         n_events = 0
-        for v, names, is_new in events:
+        for v, changes, is_new in events:
             n_events += 1
             if is_new and v not in touched:
                 fresh.append(v)
-            if v in touched:
-                cur = touched[v]
-                if cur is not None:
-                    if names is None or is_new:
-                        touched[v] = None
-                    else:
-                        cur.update(names)
+            if changes is None or is_new:
+                touched[v] = None
+                continue
+            if not isinstance(changes, Mapping):
+                changes = dict.fromkeys(changes, _UNKNOWN)
+            if v not in touched:
+                touched[v] = dict(changes)
             else:
-                touched[v] = (
-                    None if names is None or is_new else set(names)
-                )
+                olds = touched[v]
+                if olds is not None:
+                    for name, old in changes.items():
+                        olds.setdefault(name, old)
         self.stats.node_events += n_events
         if not touched:
             return []
+        graph = self._graph
         # Column-major candidate lists: each atom owns one attribute, so
         # a node lands in an atom's list at most once.
-        per_atom: Dict[Atom, List[Node]] = {}
-        for v, names in touched.items():
-            if names is None:
-                for atom in self._atoms:
-                    per_atom.setdefault(atom, []).append(v)
-            else:
-                for name in names:
-                    for atom in self._by_attr.get(name, {}):
-                        per_atom.setdefault(atom, []).append(v)
-        graph = self._graph
+        per_atom: Dict[AtomEntry, List[Node]] = {}
+        by_attr = self._by_attr
+        for v, olds in touched.items():
+            if olds is None:
+                for ae in self._atoms.values():
+                    per_atom.setdefault(ae, []).append(v)
+                continue
+            row = graph.attrs(v)
+            for name, old in olds.items():
+                attr_atoms = by_attr.get(name)
+                if attr_atoms is None:
+                    continue
+                for ae in attr_atoms.candidates(old, row.get(name, ABSENT)):
+                    per_atom.setdefault(ae, []).append(v)
         bulk = getattr(graph, "_bulk_atom_verdicts", None)
-        # id(entry) -> nodes to reconcile, insertion-ordered for
-        # deterministic flip order within each entry.
-        affected: Dict[int, Dict[Node, None]] = {}
-        for entry in self._trivial:
-            if fresh:
-                bucket = affected.setdefault(id(entry), {})
+        # entry -> nodes to reconcile, insertion-ordered for deterministic
+        # flip order within each entry.
+        affected: Dict[EligibleSet, Dict[Node, None]] = {}
+        if fresh:
+            for entry in self._trivial:
+                bucket = affected.setdefault(entry, {})
                 for v in fresh:
                     bucket[v] = None
-        for atom, nodes in per_atom.items():
-            ae = self._atoms[atom]
+        for ae, nodes in per_atom.items():
+            atom = ae.atom
             self.stats.atom_evals += len(nodes)
             verdicts = None
             if bulk is not None:
@@ -460,35 +634,55 @@ class SharedEligibilityIndex:
                 ]
             members = ae.members
             for v, now in zip(nodes, verdicts):
-                was = v in members
-                if now is not was:
-                    (members.add if now else members.discard)(v)
-                    ae.version += 1
-                    for dep in ae.dependents:
-                        affected.setdefault(id(dep), {})[v] = None
+                if now is (v in members):
+                    continue
+                (members.add if now else members.discard)(v)
+                ae.version += 1
+                for dep in ae.unpivoted:
+                    affected.setdefault(dep, {})[v] = None
+                if ae.pivots:
+                    self._pivot_dependents(ae, v, affected)
         return self._reconcile_batch(affected)
 
+    def _pivot_dependents(
+        self,
+        ae: AtomEntry,
+        v: Node,
+        affected: Dict[EligibleSet, Dict[Node, None]],
+    ) -> None:
+        """Mark the bucketed dependents of ``ae`` that ``v`` can be in:
+        per pivot attribute, the bucket of ``v``'s current value (every
+        bucket when that value is not indexable, none when absent)."""
+        row = self._graph.attrs(v)
+        for name, by_value in ae.pivots.items():
+            value = row.get(name, ABSENT)
+            if value is ABSENT:
+                continue
+            if _indexable(value):
+                buckets = (by_value.get(value, ()),)
+            else:
+                buckets = by_value.values()
+            for entries in buckets:
+                for dep in entries:
+                    affected.setdefault(dep, {})[v] = None
+
     def _reconcile_batch(
-        self, affected: Dict[int, Dict[Node, None]]
+        self, affected: Dict[EligibleSet, Dict[Node, None]]
     ) -> List[EventFlip]:
         """Re-derive membership of each affected (entry, node) pair from
         the atoms' (already updated) posting sets, fire listeners in
         set-already-mutated order, and return the flips.
 
-        Iterates ``_entries`` in interning order so flip order is
-        deterministic per batch.  Unsatisfiable entries are never wired to
-        atoms or ``_trivial``, so they can never appear here; trivial
-        entries have no atoms, so ``all()`` holds and fresh nodes gain
-        them.
+        Walks only the affected entries, in interning (``seq``) order so
+        flip order is deterministic per batch.  Unsatisfiable entries are
+        never wired to atoms or ``_trivial``, so they can never appear
+        here; trivial entries have no atoms, so ``all()`` holds and fresh
+        nodes gain them.
         """
         flips: List[EventFlip] = []
-        if not affected:
-            return flips
-        for predicate, entry in self._entries.items():
-            nodes = affected.get(id(entry))
-            if not nodes:
-                continue
-            for v in nodes:
+        for entry in sorted(affected, key=lambda e: e.seq):
+            predicate = entry.predicate
+            for v in affected[entry]:
                 now = all(v in ae.members for ae in entry.atom_entries)
                 was = v in entry.members
                 if now and not was:
@@ -535,7 +729,9 @@ class SharedEligibilityIndex:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Posting sets must mirror atom truth, conjunction views must
-        mirror predicate truth *and* equal their atoms' intersection."""
+        mirror predicate truth *and* equal their atoms' intersection, and
+        every view must sit in exactly its pivot's bucket of each of its
+        atoms."""
         for atom, ae in self._atoms.items():
             true_members = {
                 v
@@ -547,7 +743,16 @@ class SharedEligibilityIndex:
                 f"{ae.members ^ true_members}"
             )
             assert ae.refs > 0, f"zombie atom entry for {atom!r}"
-            assert self._by_attr[atom.attribute][atom] is ae
+            assert ae in self._by_attr[atom.attribute].everything()
+            deps = ae.dependents()
+            assert len(deps) == ae.refs, (
+                f"dependent count drift for {atom!r}"
+            )
+            for dep in deps:
+                assert self._entries.get(dep.predicate) is dep, (
+                    f"stale dependent {dep.predicate!r} of {atom!r}"
+                )
+        assert sum(len(a) for a in self._by_attr.values()) == len(self._atoms)
         for predicate, entry in self._entries.items():
             true_members = {
                 v
@@ -569,8 +774,8 @@ class SharedEligibilityIndex:
                     f"intersection-view drift for {predicate!r}"
                 )
                 for ae in entry.atom_entries:
-                    assert any(dep is entry for dep in ae.dependents), (
-                        f"{predicate!r} missing from dependents of "
+                    assert ae.holds(entry), (
+                        f"{predicate!r} missing from its pivot bucket of "
                         f"{ae.atom!r}"
                     )
             elif predicate.is_trivial():

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..graphs.columnar import as_backend
 from ..graphs.digraph import DiGraph, Node
@@ -71,7 +71,7 @@ from ..landmarks.selection import LandmarkBudget
 from ..patterns.pattern import Pattern
 from ..patterns.predicate import Predicate
 from .distances import SharedDistanceSubstrate
-from .eligibility import SharedEligibilityIndex
+from .eligibility import ABSENT, NodeEvent, SharedEligibilityIndex
 from .feeds import MatchDelta
 from .plan import SharedPlan
 from .query import ContinuousQuery
@@ -592,16 +592,19 @@ class MatcherPool:
         # (legacy stages), once per node event; shared-eligibility queries
         # route by the flips the substrate reports.  Node events are
         # collected across the whole batch and handed to the substrate as
-        # ONE ``observe_events`` call *after* the per-event loop: the
-        # substrate evaluates each distinct atom column-major over all its
-        # touched nodes (vectorized on the columnar backend), diffing
+        # ONE ``observe_events`` call *after* the per-event loop, each
+        # event carrying the merged names' pre-merge values: the
+        # substrate evaluates only the atoms the old -> new values can
+        # flip, each distinct atom column-major over all its touched
+        # nodes (vectorized on the columnar backend), diffing
         # final verdicts against pre-batch posting sets — which yields the
         # net flips per (predicate, node) directly, transient flip pairs
         # never materializing.  Deferring observation past the legacy
         # repairs is sound because phase A performs no edge edits: legacy
         # repairs consult attr-independent distance structures and their
         # own private eligible sets, never the shared postings.  The net
-        # flips are then delivered as ONE routing + repair pass per flush:
+        # flips are then delivered as ONE routing + repair pass per flush,
+        # each routed query receiving only its own predicates' flips:
         # the sets are final by then, so batched repair reaches the same
         # fixpoint as the per-event interleaving, without per-event
         # routing overhead.  Fresh (edge-less) phase-A nodes ride the same
@@ -611,24 +614,33 @@ class MatcherPool:
         report.attr_ops = len(node_ops)
         legacy_scope = sum(1 for q in routed_pop if not q.shared_eligibility)
         flip_scope = len(routed_pop) - legacy_scope
-        events: List[Tuple[Node, Optional[Iterable[str]], bool]] = []
+        graph = self.graph
+        events: List[NodeEvent] = []
         for v, attrs in node_ops:
-            if self.graph.has_node(v):
-                old = dict(self.graph.attrs(v))
-                merged = dict(old)
-                merged.update(attrs)
-                legacy = self._router.route_attr_change(
-                    old, merged, attrs.keys()
-                )
-                self.graph.add_node(v, **attrs)
-                events.append((v, list(attrs.keys()), False))
+            legacy: List[ContinuousQuery] = []
+            if graph.has_node(v):
+                # The substrate's value index needs each merged name's
+                # pre-merge value; full attr copies only feed the legacy
+                # per-query-eligibility stage.
+                row = graph.attrs(v)
+                old = {name: row.get(name, ABSENT) for name in attrs}
+                if legacy_scope:
+                    before = dict(row)
+                    merged = dict(before)
+                    merged.update(attrs)
+                    legacy = self._router.route_attr_change(
+                        before, merged, attrs.keys()
+                    )
+                graph.add_node(v, **attrs)
+                events.append((v, old, False))
                 for q in legacy:
                     q.apply_attr_update(v, attrs)
                     touched[id(q)] = q
             else:
-                self.graph.add_node(v, **attrs)
+                graph.add_node(v, **attrs)
                 events.append((v, None, True))
-                legacy = self._router.route_node(self.graph.attrs(v))
+                if legacy_scope:
+                    legacy = self._router.route_node(graph.attrs(v))
                 for q in legacy:
                     q.apply_node_added(v, attrs)
                     touched[id(q)] = q
@@ -639,13 +651,8 @@ class MatcherPool:
         )
         if net_flips:
             plan_flips.extend(net_flips)
-            by_node: Dict[Node, List[Tuple[Predicate, bool]]] = {}
-            for pred, v, gained in net_flips:
-                by_node.setdefault(v, []).append((pred, gained))
-            flipped = self._router.route_flips(
-                dict.fromkeys(pred for pred, _v, _g in net_flips)
-            )
-            for q in flipped:
+            flipped = self._router.route_flips(net_flips)
+            for q, by_node in flipped:
                 q.apply_eligibility_flip_batch(by_node)
                 touched[id(q)] = q
             report.routed += len(flipped)
@@ -719,11 +726,11 @@ class MatcherPool:
         # trivial predicates, so the union is the same for every fresh
         # node; it drives the shared-eligibility wildcard announcements
         # below.
-        fresh_gains: Set[Predicate] = set()
+        fresh_gains: List[Tuple[Predicate, Node, bool]] = []
         for node in fresh_nodes:
             gains = self.eligibility.observe_node_added(node)
-            fresh_gains.update(p for p, _ in gains)
-            plan_flips.extend((p, node, g) for p, g in gains)
+            fresh_gains.extend((p, node, g) for p, g in gains)
+        plan_flips.extend(fresh_gains)
         if insertions:
             self.substrate.observe_inserted(insertions)
             self.stats.observer_batches += len(observers)
@@ -753,7 +760,9 @@ class MatcherPool:
         # counted once per flush, not once per node.
         if fresh_nodes:
             wildcard_queries = self._router.route_node({})
-            wildcard_queries += self._router.route_flips(fresh_gains)
+            wildcard_queries += [
+                q for q, _flips in self._router.route_flips(fresh_gains)
+            ]
             for node in fresh_nodes:
                 for q in wildcard_queries:
                     q.apply_node_added(node, {})

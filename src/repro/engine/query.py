@@ -451,25 +451,17 @@ class ContinuousQuery:
         self.index.update_node_attrs(v, **dict(attrs))
 
     def apply_eligibility_flips(self, v: Node, flips) -> None:
-        """Shared-eligibility repair: the substrate flipped some predicate
-        verdicts for ``v`` (sets already mutated); resolve the flipped
-        predicates to this pattern's nodes and repair the index without
-        re-evaluating anything."""
-        gained: List[PatternNode] = []
-        lost: List[PatternNode] = []
-        for pred, is_gain in flips:
-            for u in self._nodes_by_pred.get(pred, ()):
-                (gained if is_gain else lost).append(u)
-        if gained or lost:
-            self.index.apply_eligibility_flips(v, gained, lost)
+        """Single-node form of :meth:`apply_eligibility_flip_batch`."""
+        self.apply_eligibility_flip_batch({v: flips})
 
     def apply_eligibility_flip_batch(
         self, by_node: Mapping[Node, List]
     ) -> None:
-        """Batched shared-eligibility repair: one routing decision per
-        flush, flips for the whole node-ops batch (netted per (predicate,
-        node) by the pool, sets already final) delivered to the index in
-        one pass."""
+        """Batched shared-eligibility repair: the substrate flipped some
+        predicate verdicts (sets already final, netted per (predicate,
+        node)), and the router handed this query the flips of its own
+        predicates, grouped by node.  Resolve them to this pattern's
+        nodes and repair the index in one pass, evaluating nothing."""
         events: List[Tuple[Node, List[PatternNode], List[PatternNode]]] = []
         for v, flips in by_node.items():
             gained: List[PatternNode] = []

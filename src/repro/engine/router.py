@@ -29,10 +29,12 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
   predicate mentions cannot change any eligibility;
 - queries leasing the pool's shared eligibility substrate route node
   events by predicate **flips** instead: the substrate evaluates each
-  distinct predicate once per event, and :meth:`route_flips` selects
-  exactly the queries whose patterns use a flipped predicate — the
-  attr-name stage, ``touches_node``, and ``touches_attr_change`` predicate
-  re-evaluations are skipped for them entirely.
+  distinct atom once per batch, and :meth:`route_flips` selects exactly
+  the queries whose patterns use a flipped predicate, splitting the
+  flips by the same ``_by_pred`` buckets so each query receives only its
+  own — the attr-name stage, ``touches_node``, and
+  ``touches_attr_change`` predicate re-evaluations are skipped for them
+  entirely.
 
 Edge routing is therefore three-staged: eq-key candidate lookup, endpoint
 predicate confirm (``touches_edge`` — member-set lookups under shared
@@ -66,6 +68,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from ..incremental.ballsummary import BallField, Postings
 from ..incremental.incbsim import FieldLeg, RoutingLeg
 from ..patterns.predicate import Predicate
+from .eligibility import EventFlip, Flip
 from .query import ContinuousQuery, EqKey
 
 
@@ -333,19 +336,28 @@ class UpdateRouter:
         ]
 
     def route_flips(
-        self, predicates: Iterable[Predicate]
-    ) -> List[ContinuousQuery]:
+        self, flips: Iterable[EventFlip]
+    ) -> List[Tuple[ContinuousQuery, Dict[Any, List[Flip]]]]:
         """Shared-eligibility queries whose patterns use a flipped
-        predicate.
+        predicate, each with only the flips of its own predicates.
 
-        The substrate already evaluated each distinct predicate exactly
-        once for the node event; this stage is pure dict lookups, so the
-        per-event routing cost scales with the number of *flipped*
-        predicates and their users, not with pool size.
+        ``flips`` are the substrate's net ``(predicate, node, gained)``
+        verdicts; every selected query gets them grouped by node, in
+        flip order, and the queries come back in registration order.  The
+        substrate already evaluated each distinct atom once for the
+        batch; this stage is one ``_by_pred`` lookup per flip, so its cost
+        scales with the flips and their users, not with pool size.
         """
-        selected: Set[int] = set()
-        for pred in predicates:
-            bucket = self._by_pred.get(pred)
-            if bucket:
-                selected.update(bucket)
-        return self._sorted(selected)
+        per_query: Dict[int, Dict[Any, List[Flip]]] = {}
+        by_pred = self._by_pred
+        for pred, v, gained in flips:
+            qids = by_pred.get(pred)
+            if qids:
+                for qid in qids:
+                    per_query.setdefault(qid, {}).setdefault(v, []).append(
+                        (pred, gained)
+                    )
+        return [
+            (self._queries[qid], per_query[qid])
+            for qid in sorted(per_query, key=self._order.__getitem__)
+        ]

@@ -303,8 +303,9 @@ class ColumnarDiGraph(DiGraph):
         self._num_edges = 0
         # Monotonic versions keying the lazy numpy snapshots below: the
         # adjacency version moves on any edge / node-set change, the attr
-        # version on any column write (including node-set changes, which
-        # resize columns).
+        # version on structural column changes (slot interning, node
+        # removal, attribute deletion, compaction).  A plain value write
+        # patches the cached snapshot of the one column it writes.
         self._adj_ver = 0
         self._attr_ver = 0
         self._csr_cache: Dict[str, Tuple[int, Any, Any]] = {}
@@ -357,7 +358,9 @@ class ColumnarDiGraph(DiGraph):
             col = [MISSING] * len(self._osucc)
             self._cols[name] = col
         col[node_id] = value
-        self._attr_ver += 1
+        cached = self._col_cache.get(name)
+        if cached is not None and cached[0] == self._attr_ver:
+            kernels.patch_column_snapshot(cached[1], node_id, value)
 
     # ------------------------------------------------------------------
     # Node operations
@@ -498,7 +501,8 @@ class ColumnarDiGraph(DiGraph):
 
     def _column_snapshot(self, name: str):
         """Typed snapshot of one attr column (or ``None`` when the column
-        does not exist), rebuilt lazily on the attr version."""
+        does not exist), rebuilt lazily on the attr version and patched in
+        place by value writes (:meth:`_set_attr_id`)."""
         col = self._cols.get(name)
         if col is None:
             return None

@@ -154,13 +154,15 @@ def reachable_csr(indptr, indices, seeds: Sequence[int]):
 
 
 class ColumnSnapshot:
-    """Immutable typed view of one attr column at a fixed attr version.
+    """Typed view of one attr column for bulk atom evaluation.
 
     ``objects`` is the raw column as a 1-d object array, ``present`` marks
     slots whose value is not the MISSING sentinel, ``numeric`` is a
     float64 shadow (NaN where missing or non-numeric), and ``numeric_ok``
     says every *present* value round-trips exactly through float64 — the
     precondition for running ordering comparisons in the numeric shadow.
+    A value write patches one slot in place
+    (:func:`patch_column_snapshot`); structural column changes rebuild it.
     """
 
     __slots__ = ("objects", "present", "numeric", "numeric_ok")
@@ -170,6 +172,23 @@ class ColumnSnapshot:
         self.present = present
         self.numeric = numeric
         self.numeric_ok = numeric_ok
+
+
+def _exact_float(x: Any) -> Optional[float]:
+    """``x``'s float64 shadow, or ``None`` when ``x`` is not a number
+    float64 holds exactly (non-numeric, or an int beyond 2^53)."""
+    t = type(x)
+    if t is bool:
+        return 1.0 if x else 0.0
+    if t is int:
+        try:
+            fx = float(x)
+        except OverflowError:
+            return None
+        return fx if int(fx) == x else None
+    if t is float:
+        return x
+    return None
 
 
 def make_column_snapshot(col: Sequence[Any], missing: Any) -> ColumnSnapshot:
@@ -186,24 +205,28 @@ def make_column_snapshot(col: Sequence[Any], missing: Any) -> ColumnSnapshot:
         if x is missing:
             continue
         present[i] = True
-        t = type(x)
-        if t is bool:
-            numeric[i] = 1.0 if x else 0.0
-        elif t is int:
-            try:
-                fx = float(x)
-            except OverflowError:
-                numeric_ok = False
-                continue
-            if int(fx) != x:  # beyond 2^53: float64 would move the value
-                numeric_ok = False
-                continue
-            numeric[i] = fx
-        elif t is float:
-            numeric[i] = x
-        else:
+        fx = _exact_float(x)
+        if fx is None:
             numeric_ok = False
+        else:
+            numeric[i] = fx
     return ColumnSnapshot(objects, present, numeric, numeric_ok)
+
+
+def patch_column_snapshot(snap: ColumnSnapshot, i: int, value: Any) -> None:
+    """Mirror the column write ``col[i] = value`` into ``snap`` in place.
+
+    A value float64 cannot hold exactly clears ``numeric_ok``; only a
+    rebuild sets it again, so the flag stays a sound precondition.
+    """
+    snap.objects[i] = value
+    snap.present[i] = True
+    fx = _exact_float(value)
+    if fx is None:
+        snap.numeric[i] = _np.nan
+        snap.numeric_ok = False
+    else:
+        snap.numeric[i] = fx
 
 
 _CMP = {
@@ -215,8 +238,10 @@ _CMP = {
 
 # Value types whose elementwise == against an object array cannot trigger
 # numpy's sequence broadcasting (tuples/lists compare per-element, which
-# diverges from Python scalar equality).
-_SAFE_EQ_TYPES = (str, int, float, bool, type(None))
+# diverges from Python scalar equality).  Their hashes also agree with
+# ``==`` across each other (``1 == 1.0 == True`` hash alike), which is
+# what lets the eligibility substrate look equality atoms up by value.
+SAFE_EQ_TYPES = (str, int, float, bool, type(None))
 
 
 def atom_mask(snap: ColumnSnapshot, ids, op: str, value: Any):
@@ -251,7 +276,7 @@ def atom_mask(snap: ColumnSnapshot, ids, op: str, value: Any):
             return m & present
         if not eq_op:
             return None  # ordering over a non-float64-exact column
-    elif not eq_op or not isinstance(value, _SAFE_EQ_TYPES):
+    elif not eq_op or not isinstance(value, SAFE_EQ_TYPES):
         return None
     # Object-space equality: elementwise Python ==/!= (same operator the
     # scalar twin applies), masked by presence.

@@ -154,7 +154,7 @@ class BoundedSimulationIndex:
         # per-pattern-node eligible sets become leased read-views of one
         # shared member set per distinct predicate.  The substrate
         # mutates them; attribute churn arrives as resolved flips
-        # (apply_eligibility_flips), never via update_node_attrs.
+        # (apply_eligibility_flip_batch), never via update_node_attrs.
         self._eligibility = eligibility
         self._bounds: Dict[PatternEdge, Bound] = {
             (u, u2): pattern.bound(u, u2) for u, u2 in pattern.edges()
@@ -414,7 +414,7 @@ class BoundedSimulationIndex:
             raise RuntimeError(
                 "a shared-eligibility BoundedSimulationIndex receives "
                 "attribute changes as resolved flips "
-                "(apply_eligibility_flips), driven by the pool"
+                "(apply_eligibility_flip_batch), driven by the pool"
             )
         if v not in self.graph:
             self.add_node(v, **attrs)
@@ -436,29 +436,17 @@ class BoundedSimulationIndex:
             self.eligible[u].add(v)
         self._apply_layer_flips(v, gained, lost)
 
-    def apply_eligibility_flips(
-        self,
-        v: Node,
-        gained: List[PatternNode],
-        lost: List[PatternNode],
-    ) -> None:
-        """Repair after the shared substrate flipped ``v``'s eligibility.
-
-        The leased sets are already mutated and the flipped predicates
-        already resolved to pattern nodes, so no predicate is evaluated:
-        lost layers retire their pair nodes (with the usual pair-edge
-        cascade), gained layers materialize their pairs in both
-        directions.
-        """
-        self.apply_eligibility_flip_batch([(v, gained, lost)])
-
     def apply_eligibility_flip_batch(
         self,
         events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
     ) -> None:
         """Repair after the substrate flipped eligibility for a whole
         flush's node events at once (sets already final, flips netted per
-        (predicate, node) by the pool).
+        (predicate, node) by the pool).  The flipped predicates arrive
+        already resolved to pattern nodes, so no predicate is evaluated:
+        lost layers retire their pair nodes (with the usual pair-edge
+        cascade), gained layers materialize their pairs in both
+        directions.
 
         All losses across the batch retire first (their pair edges in one
         inner batch), then **all** gains adopt before any pair

@@ -19,7 +19,7 @@ simulation family is the practical choice on evolving graphs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..matching.isomorphism import Embedding, iter_embeddings
@@ -71,12 +71,15 @@ class IsoIndex:
         # verdicts are read off the shared member sets (one evaluation per
         # distinct predicate per pool) instead of re-evaluated here, and
         # attribute churn arrives as resolved flips
-        # (apply_eligibility_flips) rather than update_node_attrs.
+        # (apply_eligibility_flip_batch) rather than update_node_attrs.
         self._eligibility = eligibility
-        self._elig_views: Dict[PatternNode, Any] = {}
+        # The leased member sets, which anchored searches also read as
+        # their candidate sets (read-only, never copied) instead of
+        # re-scanning the graph.
+        self._cands: Optional[Dict[PatternNode, Set[Node]]] = None
         if eligibility is not None:
-            self._elig_views = {
-                u: eligibility.lease(pattern.predicate(u))
+            self._cands = {
+                u: eligibility.lease(pattern.predicate(u)).members
                 for u in pattern.nodes()
             }
         self._embeddings: Dict[EmbKey, Embedding] = {}
@@ -180,7 +183,7 @@ class IsoIndex:
                 if v == w:
                     continue  # injectivity forbids mapping two nodes to one
                 seed = {u1: v, u2: w}
-            for emb in iter_embeddings(self.pattern, self.graph, partial=seed):
+            for emb in self._anchored(seed):
                 self._store(emb)
                 if (
                     self.max_embeddings is not None
@@ -188,11 +191,18 @@ class IsoIndex:
                 ):
                     return
 
+    def _anchored(self, seed: Embedding):
+        """Embeddings extending ``seed`` in the full graph; a leased index
+        seeds the search with its shared eligible sets."""
+        return iter_embeddings(
+            self.pattern, self.graph, partial=seed, candidates=self._cands
+        )
+
     def _satisfies(self, u: PatternNode, v: Node, attrs) -> bool:
         """Predicate verdict for ``v`` at pattern node ``u`` — a shared
         member-set lookup when leased, a predicate evaluation otherwise."""
         if self._eligibility is not None:
-            return v in self._elig_views[u].members
+            return v in self._cands[u]
         return self.pattern.predicate(u).satisfied_by(attrs)
 
     def update_node_attrs(self, v: Node, **attrs) -> None:
@@ -215,29 +225,13 @@ class IsoIndex:
         for u in self.pattern.nodes():
             if not self._satisfies(u, v, node_attrs):
                 continue
-            for emb in iter_embeddings(self.pattern, self.graph, partial={u: v}):
+            for emb in self._anchored({u: v}):
                 self._store(emb)
                 if (
                     self.max_embeddings is not None
                     and len(self._embeddings) >= self.max_embeddings
                 ):
                     return
-
-    def apply_eligibility_flips(
-        self,
-        v: Node,
-        gained: Iterable[PatternNode],
-        lost: Iterable[PatternNode],
-    ) -> None:
-        """Repair after the shared substrate flipped ``v``'s eligibility.
-
-        A lost layer invalidates exactly the embeddings mapping that
-        pattern node to ``v``; a gained layer can only create embeddings
-        that map it to ``v``, found by anchored search.  Layers whose
-        verdict did not flip need no work: the graph's edges are
-        unchanged, so their embedding sets through ``v`` are unchanged.
-        """
-        self.apply_eligibility_flip_batch([(v, list(gained), list(lost))])
 
     def apply_eligibility_flip_batch(
         self,
@@ -246,10 +240,15 @@ class IsoIndex:
         """Repair after the substrate flipped eligibility for a whole
         flush's node events at once (sets already final, flips netted).
 
-        One scan drops every embedding invalidated by any loss in the
-        batch, then each gain anchor-searches — against the final graph
-        and final shared sets, so per-event interleaving is immaterial
-        (anchored search reads only current truth).
+        A lost layer invalidates exactly the embeddings mapping that
+        pattern node to the node; a gained layer can only create
+        embeddings that map it there.  Layers whose verdict did not flip
+        need no work: the graph's edges are unchanged, so their
+        embeddings through the node are unchanged.  One scan drops every
+        embedding invalidated by any loss in the batch, then each gain
+        anchor-searches — against the final graph and final shared sets,
+        so per-event interleaving is immaterial (anchored search reads
+        only current truth).
         """
         lost_pairs = {
             (u, v) for v, _gained, lost in events for u in lost
@@ -261,9 +260,7 @@ class IsoIndex:
                     self._discard(key)
         for v, gained, _lost in events:
             for u in gained:
-                for emb in iter_embeddings(
-                    self.pattern, self.graph, partial={u: v}
-                ):
+                for emb in self._anchored({u: v}):
                     self._store(emb)
                     if (
                         self.max_embeddings is not None
@@ -278,7 +275,7 @@ class IsoIndex:
         for u in self.pattern.nodes():
             self._eligibility.release(self.pattern.predicate(u))
         self._eligibility = None
-        self._elig_views = {}
+        self._cands = None
 
     def apply_batch(self, updates: Iterable[Update]) -> None:
         """Deletions drop postings; insertions anchor-search afterwards."""

@@ -84,7 +84,7 @@ class SimulationIndex:
     queries read it.  A leased index never evaluates predicates or
     mutates the sets itself — the substrate mutates them before the pool
     invokes the repair entry points, and attribute-driven eligibility
-    changes arrive through :meth:`apply_eligibility_flips` (already
+    changes arrive through :meth:`apply_eligibility_flip_batch` (already
     resolved to gained/lost pattern nodes) rather than
     :meth:`update_node_attrs`.
     """
@@ -303,7 +303,7 @@ class SimulationIndex:
         if self._eligibility is not None:
             raise RuntimeError(
                 "a shared-eligibility SimulationIndex receives attribute "
-                "changes as resolved flips (apply_eligibility_flips), "
+                "changes as resolved flips (apply_eligibility_flip_batch), "
                 "driven by the pool"
             )
         if v not in self.graph:
@@ -331,30 +331,6 @@ class SimulationIndex:
             # SCC promotions); one sweep settles everything.
             self._promote_sweep()
 
-    def apply_eligibility_flips(
-        self,
-        v: Node,
-        gained: Iterable[PatternNode],
-        lost: Iterable[PatternNode],
-    ) -> None:
-        """Repair after the shared substrate flipped ``v``'s eligibility.
-
-        The leased sets are already mutated and the flipped predicates
-        already resolved to this pattern's nodes (by
-        :meth:`ContinuousQuery.apply_eligibility_flips`), so no predicate
-        is evaluated here: gained layers adopt, lost layers demote with
-        the usual cascade, and a promotion pass settles the gains.
-
-        Gains are adopted *before* the losses cascade — the shared sets
-        already contain ``v`` for the gained layers, and a demotion
-        cascade reaching ``v`` through a graph cycle reads those sets to
-        find support counters, so the counters must exist by then.  The
-        ordering is otherwise equivalent: demotions can never enable a
-        promotion, so the closing sweep sees the same fixpoint the
-        legacy lost-then-gained order reaches.
-        """
-        self.apply_eligibility_flip_batch([(v, list(gained), list(lost))])
-
     def apply_eligibility_flip_batch(
         self,
         events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
@@ -371,8 +347,17 @@ class SimulationIndex:
         index the counter of any eligible parent.  So the batch runs in
         phases — (1) wire candt and support counters for all gains,
         (2) promote the supported gains, (3) withdraw all losses into one
-        demote cascade, (4) one closing promotion sweep — generalizing
-        the single-event two-phase adoption to the whole batch.
+        demote cascade, (4) one closing promotion sweep.
+
+        Gains are adopted *before* the losses cascade because a demotion
+        cascade reaching a gained node through a graph cycle reads the
+        shared sets to find its support counters, so they must exist by
+        then.  The order is otherwise immaterial: demotions never enable
+        a promotion, so the closing sweep reaches the same fixpoint a
+        lost-then-gained order does.  The flipped predicates arrive
+        already resolved to pattern nodes (by
+        :meth:`ContinuousQuery.apply_eligibility_flip_batch`), so no
+        predicate is evaluated here.
         """
         adoptions: List[Tuple[Node, List[PatternNode]]] = []
         for v, gained, _lost in events:

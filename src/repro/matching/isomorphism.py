@@ -19,7 +19,7 @@ an exhaustive reference for tests.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional
+from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional
 
 from ..graphs.digraph import DiGraph, Node
 from ..patterns.pattern import Pattern, PatternError, PatternNode
@@ -63,10 +63,17 @@ def iter_embeddings(
     pattern: Pattern,
     graph: DiGraph,
     partial: Optional[Embedding] = None,
+    candidates: Optional[Mapping[PatternNode, AbstractSet[Node]]] = None,
 ) -> Iterator[Embedding]:
-    """Yield every injective embedding extending ``partial`` (default {})."""
+    """Yield every injective embedding extending ``partial`` (default {}).
+
+    ``candidates`` supplies each pattern node's predicate-satisfying data
+    nodes when the caller already maintains them (a leased eligibility
+    index); they are only read, and must equal :func:`candidate_sets`
+    for the current graph.  Default: computed by a graph scan.
+    """
     _check_normal(pattern)
-    cands = candidate_sets(pattern, graph)
+    cands = candidate_sets(pattern, graph) if candidates is None else candidates
     partial = dict(partial) if partial else {}
     for u, v in partial.items():
         if v not in cands[u]:

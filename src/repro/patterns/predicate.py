@@ -33,10 +33,10 @@ class PredicateError(ValueError):
     """Raised for malformed predicate expressions."""
 
 
-# Global count of Predicate.satisfied_by applications.  The pool-level
-# eligibility substrate exists to make this number scale with *distinct*
-# predicates rather than pool size; the ``overlap`` benchmark scenario
-# reads it around each flush to verify exactly that.
+# Global count of Predicate.satisfied_by applications: whole-predicate
+# evaluations, which the per-query eligibility scope pays per query.  The
+# pool-level eligibility substrate never pays them during a flush — it
+# evaluates atoms, counted below.
 _EVALUATIONS = 0
 
 # Global count of Atom.satisfied_by applications.  The substrate's atom

@@ -303,6 +303,87 @@ class TestBulkAtomTwins:
 
 
 @needs_numpy
+class TestColumnSnapshotPatching:
+    """Value writes patch the cached column snapshot in place; only
+    structural changes rebuild it."""
+
+    @pytest.mark.parametrize("pool_kind", sorted(_POOLS))
+    def test_random_churn_keeps_bulk_verdicts_exact(
+        self, monkeypatch, pool_kind
+    ):
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        rnd = random.Random(61)
+        pool = _POOLS[pool_kind]
+        g = ColumnarDiGraph()
+        for i in range(30):
+            g.add_node(i, x=rnd.choice(pool))
+        engaged = 0
+        for _step in range(150):
+            roll = rnd.random()
+            nodes = list(g.nodes())
+            if roll < 0.6 and nodes:
+                g.set_attr(rnd.choice(nodes), "x", rnd.choice(pool))
+            elif roll < 0.7 and nodes:
+                row = g.attrs(rnd.choice(nodes))
+                if "x" in row:
+                    del row["x"]
+            elif roll < 0.85:
+                v = rnd.randrange(45)
+                if rnd.random() < 0.5:
+                    g.add_node(v)
+                else:
+                    g.add_node(v, x=rnd.choice(pool))
+            elif nodes:
+                g.remove_node(rnd.choice(nodes))
+            nodes = list(g.nodes())
+            for op, value in _ATOM_CASES:
+                atom = Atom("x", op, value)
+                got = g._bulk_atom_verdicts("x", atom.op, atom.value, nodes)
+                if got is None:
+                    continue
+                engaged += 1
+                assert got == [atom.satisfied_by(g.attrs(v)) for v in nodes], (
+                    op, value,
+                )
+        assert engaged
+
+    def test_attribute_merges_do_not_rebuild(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        builds = []
+        make = kernels.make_column_snapshot
+
+        def counting(col, missing):
+            builds.append(len(col))
+            return make(col, missing)
+
+        monkeypatch.setattr(kernels, "make_column_snapshot", counting)
+        g = ColumnarDiGraph()
+        for i in range(20):
+            g.add_node(i, x=i % 4, label="AB"[i % 2])
+        assert g._atom_sweep_members("x", ">", 2) == {3, 7, 11, 15, 19}
+        assert g._atom_sweep_members("label", "=", "A") is not None
+        assert len(builds) == 2
+        for n in range(50):
+            g.add_node(n % 20, x=n % 5, label="ABC"[n % 3])
+            assert g._bulk_atom_verdicts("x", ">", 2, [n % 20]) == [
+                n % 5 > 2
+            ]
+            assert g._bulk_atom_verdicts("label", "=", "C", [n % 20]) == [
+                n % 3 == 2
+            ]
+        assert len(builds) == 2
+        # A value float64 cannot hold exactly poisons only ordering in
+        # the patched column, without a rebuild.
+        g.set_attr(0, "x", 2**53 + 1)
+        assert g._bulk_atom_verdicts("x", ">", 2, [0]) is None
+        assert len(builds) == 2
+        # Structural changes still rebuild.
+        g.remove_node(1)
+        assert g._bulk_atom_verdicts("x", "=", 0, [2]) is not None
+        assert len(builds) == 3
+
+
+@needs_numpy
 class TestEligibilityBatchTwins:
     def _run(self, monkeypatch, mode, backend):
         monkeypatch.setenv("REPRO_KERNELS", mode)
