@@ -12,23 +12,21 @@ The scenarios, all over one shared graph holding labelled communities
   mode the router's leg probes + oracle consults per flush are gated
   identical at every N, and at full scale flush growth from N=1 to N=64
   is gated at most 1.5x — the paper's flagship IncBMatch semantics;
-- ``bounded-shared``: the same N bound-2 patterns in ``landmark`` mode
-  under ``distance_scope='shared'`` vs ``'per-query'`` — the per-query
-  path maintains N private landmark indexes (distance upkeep ~linear in
-  N), the shared substrate maintains ONE (upkeep ~flat in N).  The table
-  reports flush time and the number of structure-level update
-  applications per scope;
+- ``bounded-shared``: the same N bound-2 patterns in ``landmark`` mode,
+  pool vs the naive baseline — N standalone indexes each maintain a
+  private landmark index (distance upkeep ~linear in N), the pool's
+  shared substrate maintains ONE (upkeep ~flat in N).  The table reports
+  flush time and structure-level upkeep on each side;
 - ``overlap-atoms``: N conjunction queries whose predicates are all
   drawn from one fixed 6-atom vocabulary (18 distinct conjunctions),
-  driven by label/score flips plus edge churn, under
-  ``eligibility_scope='shared'`` vs ``'per-query'``.  The substrate's
-  *atom tier* evaluates each distinct atom at most once per node event
-  regardless of how many conjunctions compose it (a label merge only
-  the label atoms equal to the old or new label), so shared-scope
-  per-flush atom evaluations must be *exactly* flat in N once the
-  vocabulary is interned — the scenario enforces equality and fails
-  otherwise; per-query scope re-evaluates whole conjunctions per query
-  (~linear in N);
+  driven by label/score flips plus edge churn, pool vs the naive
+  baseline.  The pool substrate's *atom tier* evaluates each distinct
+  atom at most once per node event regardless of how many conjunctions
+  compose it (a label merge only the label atoms equal to the old or new
+  label), so the pool's per-flush atom evaluations must be *exactly* flat
+  in N once the vocabulary is interned — the scenario enforces equality
+  and fails otherwise; the N standalone indexes re-evaluate whole
+  conjunctions each (~linear in N);
 - ``shared-plan``: N bound-2 two-leg patterns drawn from only 4 distinct
   *leg vocabularies* (query i re-spells partition ``i % 4``'s pattern
   with its own node names), under ``plan_scope='shared'`` vs
@@ -156,12 +154,10 @@ SCENARIOS = {
 
 def run_pool(
     graph, scenario, num_patterns, updates, distance_mode,
-    distance_scope="shared", pattern_fn=None, graph_backend=None,
+    pattern_fn=None, graph_backend=None,
 ):
     spec = SCENARIOS[scenario]
-    pool = MatcherPool(
-        graph, distance_scope=distance_scope, graph_backend=graph_backend
-    )
+    pool = MatcherPool(graph, graph_backend=graph_backend)
     for i in range(num_patterns):
         pool.register(
             (pattern_fn or spec["pattern"])(i),
@@ -178,11 +174,17 @@ def run_pool(
     return elapsed, pool, report
 
 
-def run_naive(base, scenario, num_patterns, updates, pattern_fn=None):
-    """One independent incremental index per pattern, each fed everything."""
+def run_naive(
+    base, scenario, num_patterns, updates, pattern_fn=None, **index_options
+):
+    """One independent incremental index per pattern, each fed everything
+    (``index_options`` go to the index constructor, e.g. a
+    ``distance_mode``)."""
     spec = SCENARIOS[scenario]
     indexes = [
-        spec["naive_index"]((pattern_fn or spec["pattern"])(i), base.copy())
+        spec["naive_index"](
+            (pattern_fn or spec["pattern"])(i), base.copy(), **index_options
+        )
         for i in range(num_patterns)
     ]
     start = time.perf_counter()
@@ -317,81 +319,84 @@ def run_scenario(
 
 
 def run_shared_substrate_scenario(sizes, graph, updates, reps):
-    """Shared vs per-query distance structures, landmark mode.
+    """Pool (one shared landmark index) vs the naive baseline (one private
+    landmark index per pattern), landmark mode.
 
-    Per-query scope maintains one landmark index per registered pattern
-    (every net edge repairs N vector sets); shared scope leases ONE from
-    the pool substrate.  'upkeep' counts structure-level update
-    applications (observer syncs + substrate syncs) — the quantity the
-    substrate amortizes across the pool.
+    'upkeep' counts structure-level update applications: on the pool
+    side the substrate's structure syncs, on the naive side the landmark
+    version bumps summed over the N private indexes (one per repaired
+    batch or added landmark) — the work the substrate amortizes across
+    the pool.
     """
     print(
         "\n== scenario: bounded-shared "
-        "(landmark mode, shared vs per-query distance structures) =="
+        "(landmark mode, shared substrate vs naive private indexes) =="
     )
     print(
-        f"{'N':>4} {'shared ms':>10} {'perq ms':>10} {'perq/shared':>12} "
-        f"{'shared upkeep':>14} {'perq upkeep':>12}"
+        f"{'N':>4} {'shared ms':>10} {'naive ms':>10} {'naive/shared':>13} "
+        f"{'shared upkeep':>14} {'naive upkeep':>13}"
     )
     ok = True
     results = []
-    times = {"shared": {}, "per-query": {}}
+    times = {"shared": {}, "naive": {}}
     for n in sizes:
         row = {"n": n}
-        pools = {}
-        for scope in ("shared", "per-query"):
-            scope_times = []
-            pool = None
-            for _ in range(reps):
-                t, pool, _ = run_pool(
-                    graph.copy(), "bounded", n, updates, "landmark", scope
-                )
-                scope_times.append(t)
-            times[scope][n] = statistics.median(scope_times)
-            pools[scope] = pool
-            upkeep = (
-                pool.stats.observer_batches
-                + pool.substrate.stats.structure_batches
+        shared_times, naive_times = [], []
+        pool = indexes = None
+        for _ in range(reps):
+            t, pool, _ = run_pool(
+                graph.copy(), "bounded", n, updates, "landmark"
             )
-            key = "shared" if scope == "shared" else "per_query"
-            row[f"{key}_ms"] = round(times[scope][n] * 1e3, 3)
-            row[f"{key}_upkeep"] = upkeep
-        # Correctness: both scopes must match the naive per-pattern result.
-        _, indexes = run_naive(graph, "bounded", n, updates)
+            shared_times.append(t)
+            t, indexes = run_naive(
+                graph, "bounded", n, updates, distance_mode="landmark"
+            )
+            naive_times.append(t)
+        times["shared"][n] = statistics.median(shared_times)
+        times["naive"][n] = statistics.median(naive_times)
+        row["shared_ms"] = round(times["shared"][n] * 1e3, 3)
+        row["shared_upkeep"] = pool.substrate.stats.structure_batches
+        row["naive_ms"] = round(times["naive"][n] * 1e3, 3)
+        # Construction bumps the version once per selected landmark;
+        # everything past that is batch repair and InsLM growth.
+        row["naive_upkeep"] = sum(
+            lm.version - lm.selected_size
+            for lm in (idx.landmark_index() for idx in indexes)
+        )
+        # Correctness: the pool must match the naive per-pattern result.
         for i, idx in enumerate(indexes):
-            expect = as_pairs(idx.matches())
-            for scope, pool in pools.items():
-                if as_pairs(pool.query(f"p{i}").matches()) != expect:
-                    print(
-                        f"MISMATCH bounded-shared scope={scope} N={n} "
-                        f"pattern {i}",
-                        file=sys.stderr,
-                    )
-                    ok = False
+            if as_pairs(pool.query(f"p{i}").matches()) != as_pairs(
+                idx.matches()
+            ):
+                print(
+                    f"MISMATCH bounded-shared N={n} pattern {i}",
+                    file=sys.stderr,
+                )
+                ok = False
         ratio = (
-            times["per-query"][n] / times["shared"][n]
+            times["naive"][n] / times["shared"][n]
             if times["shared"][n] > 0
             else float("inf")
         )
-        row["per_query_over_shared"] = round(ratio, 2)
+        row["naive_over_shared"] = round(ratio, 2)
         print(
-            f"{n:>4} {row['shared_ms']:>10.2f} {row['per_query_ms']:>10.2f} "
-            f"{ratio:>11.1f}x {row['shared_upkeep']:>14} "
-            f"{row['per_query_upkeep']:>12}"
+            f"{n:>4} {row['shared_ms']:>10.2f} {row['naive_ms']:>10.2f} "
+            f"{ratio:>12.1f}x {row['shared_upkeep']:>14} "
+            f"{row['naive_upkeep']:>13}"
         )
         results.append(row)
     lo, hi = min(sizes), max(sizes)
     growth = {
-        scope: (
-            times[scope][hi] / times[scope][lo]
-            if times[scope][lo] > 0
+        side: (
+            times[side][hi] / times[side][lo]
+            if times[side][lo] > 0
             else 0.0
         )
-        for scope in times
+        for side in times
     }
     print(
         f"distance-upkeep flush cost grew {growth['shared']:.2f}x (shared) "
-        f"vs {growth['per-query']:.2f}x (per-query) "
+        f"vs {growth['naive']:.2f}x (naive) "
         f"from N={lo} to N={hi} ({hi // lo}x more bounded queries)"
     )
     return ok, {
@@ -399,7 +404,7 @@ def run_shared_substrate_scenario(sizes, graph, updates, reps):
         "reps": reps,
         "results": results,
         "growth_factor_shared": round(growth["shared"], 3),
-        "growth_factor_per_query": round(growth["per-query"], 3),
+        "growth_factor_naive": round(growth["naive"], 3),
     }
 
 
@@ -461,9 +466,9 @@ def overlap_atoms_stream(graph, num_ops, seed=17):
     return ops
 
 
-def run_overlap_atoms_pool(graph, n, ops, eligibility_scope):
+def run_overlap_atoms_pool(graph, n, ops):
     """One flush; returns (elapsed, atom_evals, substrate_evals, pool)."""
-    pool = MatcherPool(graph, eligibility_scope=eligibility_scope)
+    pool = MatcherPool(graph)
     for i in range(n):
         pool.register(
             overlap_atoms_pattern(i), semantics="simulation", name=f"p{i}"
@@ -483,109 +488,118 @@ def run_overlap_atoms_pool(graph, n, ops, eligibility_scope):
     return elapsed, atom_evals, substrate_evals, pool
 
 
+def run_overlap_atoms_naive(graph, n, ops):
+    """One standalone index per query, each fed the node events and then
+    the edge batch (the pool's phase order); returns (elapsed,
+    atom_evals, indexes)."""
+    indexes = [
+        SimulationIndex(overlap_atoms_pattern(i), graph.copy())
+        for i in range(n)
+    ]
+    edges = [op[1] for op in ops if op[0] == "edge"]
+    before = predmod.atom_evaluation_count()
+    start = time.perf_counter()
+    for idx in indexes:
+        for op in ops:
+            if op[0] == "node":
+                idx.update_node_attrs(op[1], **op[2])
+        idx.apply_batch(edges)
+    elapsed = time.perf_counter() - start
+    return elapsed, predmod.atom_evaluation_count() - before, indexes
+
+
 def run_overlap_atoms_scenario(sizes, graph, reps, num_ops):
-    """Shared vs per-query eligibility, N conjunction queries over a fixed
-    6-atom vocabulary (18 distinct conjunctions).
+    """Pool vs naive standalone indexes, N conjunction queries over a
+    fixed 6-atom vocabulary (18 distinct conjunctions).
 
     'atom evals' counts Atom.satisfied_by applications during the flush
     (numpy bulk verdicts included).  The two-tier substrate evaluates
-    each *atom* at most once per node event — for n >= 3 (vocabulary fully interned) shared-scope counts must be
-    exactly equal across all N, which this scenario enforces.  Per-query
-    scope re-evaluates whole conjunctions per registered query (~linear
-    in N).
+    each *atom* at most once per node event — for n >= 3 (vocabulary
+    fully interned) the pool's counts must be exactly equal across all
+    N, which this scenario enforces.  The naive indexes re-evaluate
+    whole conjunctions per registered query (~linear in N).
     """
     sizes = sorted({max(3, n) for n in sizes})
     print(
         "\n== scenario: overlap-atoms "
         "(N conjunction queries over a fixed 6-atom vocabulary, "
-        "shared vs per-query eligibility) =="
+        "shared eligibility vs naive private indexes) =="
     )
     print(
-        f"{'N':>4} {'conjs':>6} {'shared ms':>10} {'perq ms':>10} "
-        f"{'perq/shared':>12} {'shared atoms':>13} {'perq atoms':>11}"
+        f"{'N':>4} {'conjs':>6} {'shared ms':>10} {'naive ms':>10} "
+        f"{'naive/shared':>13} {'shared atoms':>13} {'naive atoms':>12}"
     )
     ok = True
     results = []
-    times = {"shared": {}, "per-query": {}}
-    atom_evals = {"shared": {}, "per-query": {}}
+    times = {"shared": {}, "naive": {}}
+    atom_evals = {"shared": {}, "naive": {}}
     ops = overlap_atoms_stream(graph, num_ops)
     for n in sizes:
         row = {"n": n, "conjunctions": min(n, 18)}
-        pools = {}
-        for scope in ("shared", "per-query"):
-            scope_times = []
-            scope_evals = sub_evals = pool = None
-            for _ in range(reps):
-                t, e, se, pool = run_overlap_atoms_pool(
-                    graph.copy(), n, ops, scope
+        shared_times, naive_times = [], []
+        pool = indexes = None
+        for _ in range(reps):
+            t, evals, sub_evals, pool = run_overlap_atoms_pool(
+                graph.copy(), n, ops
+            )
+            shared_times.append(t)
+            atom_evals["shared"][n] = evals
+            t, evals, indexes = run_overlap_atoms_naive(graph, n, ops)
+            naive_times.append(t)
+            atom_evals["naive"][n] = evals
+        times["shared"][n] = statistics.median(shared_times)
+        times["naive"][n] = statistics.median(naive_times)
+        row["shared_ms"] = round(times["shared"][n] * 1e3, 3)
+        row["shared_atom_evals"] = atom_evals["shared"][n]
+        row["shared_substrate_atom_evals"] = sub_evals
+        row["naive_ms"] = round(times["naive"][n] * 1e3, 3)
+        row["naive_atom_evals"] = atom_evals["naive"][n]
+        # Correctness: the pool must match the naive per-pattern result.
+        for i, idx in enumerate(indexes):
+            if as_pairs(pool.query(f"p{i}").matches()) != as_pairs(
+                idx.matches()
+            ):
+                print(
+                    f"MISMATCH overlap-atoms N={n} pattern {i}",
+                    file=sys.stderr,
                 )
-                scope_times.append(t)
-                scope_evals, sub_evals = e, se
-            times[scope][n] = statistics.median(scope_times)
-            atom_evals[scope][n] = scope_evals
-            pools[scope] = pool
-            key = "shared" if scope == "shared" else "per_query"
-            row[f"{key}_ms"] = round(times[scope][n] * 1e3, 3)
-            row[f"{key}_atom_evals"] = scope_evals
-            if scope == "shared":
-                row["shared_substrate_atom_evals"] = sub_evals
-        # Correctness: both scopes must match the naive per-pattern result
-        # (patterns repeat with period 18 over the fixed vocabulary).
-        naive = [
-            SimulationIndex(overlap_atoms_pattern(i), graph.copy())
-            for i in range(min(n, 18))
-        ]
-        for idx in naive:
-            for op in ops:
-                if op[0] == "node":
-                    idx.update_node_attrs(op[1], **op[2])
-            idx.apply_batch([op[1] for op in ops if op[0] == "edge"])
-        for i in range(n):
-            expect = as_pairs(naive[i % 18].matches())
-            for scope, pool in pools.items():
-                if as_pairs(pool.query(f"p{i}").matches()) != expect:
-                    print(
-                        f"MISMATCH overlap-atoms scope={scope} N={n} "
-                        f"pattern {i}",
-                        file=sys.stderr,
-                    )
-                    ok = False
+                ok = False
         ratio = (
-            times["per-query"][n] / times["shared"][n]
+            times["naive"][n] / times["shared"][n]
             if times["shared"][n] > 0
             else float("inf")
         )
-        row["per_query_over_shared"] = round(ratio, 2)
+        row["naive_over_shared"] = round(ratio, 2)
         print(
             f"{n:>4} {row['conjunctions']:>6} {row['shared_ms']:>10.2f} "
-            f"{row['per_query_ms']:>10.2f} {ratio:>11.1f}x "
-            f"{row['shared_atom_evals']:>13} {row['per_query_atom_evals']:>11}"
+            f"{row['naive_ms']:>10.2f} {ratio:>12.1f}x "
+            f"{row['shared_atom_evals']:>13} {row['naive_atom_evals']:>12}"
         )
         results.append(row)
     # The headline property is a hard gate, not a trend: with the 6-atom
-    # vocabulary fully interned (every size here is >= 3), shared-scope
+    # vocabulary fully interned (every size here is >= 3), the pool's
     # per-flush atom evaluations are a function of the op stream alone.
     shared_counts = sorted(set(atom_evals["shared"].values()))
     if len(shared_counts) != 1:
         print(
-            f"FLATNESS VIOLATION overlap-atoms: shared-scope atom "
-            f"evaluations vary with N: { {n: atom_evals['shared'][n] for n in sizes} }",
+            f"FLATNESS VIOLATION overlap-atoms: shared atom evaluations "
+            f"vary with N: { {n: atom_evals['shared'][n] for n in sizes} }",
             file=sys.stderr,
         )
         ok = False
     lo, hi = min(sizes), max(sizes)
     eval_growth = {
-        scope: (
-            atom_evals[scope][hi] / atom_evals[scope][lo]
-            if atom_evals[scope][lo]
+        side: (
+            atom_evals[side][hi] / atom_evals[side][lo]
+            if atom_evals[side][lo]
             else 0.0
         )
-        for scope in atom_evals
+        for side in atom_evals
     }
     print(
         f"atom evaluations per flush grew {eval_growth['shared']:.2f}x "
         f"(shared, exactly flat enforced) vs "
-        f"{eval_growth['per-query']:.2f}x (per-query) "
+        f"{eval_growth['naive']:.2f}x (naive) "
         f"from N={lo} to N={hi} (6 atoms, 18 distinct conjunctions)"
     )
     return ok, {
@@ -596,7 +610,7 @@ def run_overlap_atoms_scenario(sizes, graph, reps, num_ops):
         "results": results,
         "shared_exactly_flat": len(shared_counts) == 1,
         "atom_eval_growth_shared": round(eval_growth["shared"], 3),
-        "atom_eval_growth_per_query": round(eval_growth["per-query"], 3),
+        "atom_eval_growth_naive": round(eval_growth["naive"], 3),
     }
 
 
@@ -805,7 +819,7 @@ def run_reach_oracle_scenario(sizes, graph, updates, reps):
 
     **Backend race (bound-2 patterns, ``interval`` mode).** The flush's
     dominant term in interval mode is pool-level: the oracle labelling is
-    rebuilt after net insertions and the per-query source closures are
+    rebuilt after net insertions and the shared source closures are
     re-derived from it.  The columnar backend runs that rebuild with
     id-space kernels (Tarjan/condensation over slot ids, fused
     neighbourhood balls), so its flush must be *cheaper* than the dict

@@ -34,7 +34,7 @@ from pathlib import Path
 
 # Per-scenario keys holding a flush-cost in milliseconds (lower = better).
 COST_KEYS = (
-    "pool_ms", "shared_ms", "per_query_ms",
+    "pool_ms", "shared_ms", "naive_ms",
     "dict_ms", "columnar_ms", "landmark_ms",
     "bulk_numpy_ms", "bulk_python_ms",
     "interval_numpy_ms", "interval_python_ms",

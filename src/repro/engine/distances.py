@@ -10,9 +10,7 @@ auxiliary structure, many queries answered from it" shape of answering
 queries under updates (Berkholz et al.): the substrate owns
 
 - at most **one** :class:`~repro.landmarks.vector.LandmarkIndex` per pool
-  (``distance_mode='landmark'`` queries all read the same vectors; their
-  per-query :class:`~repro.landmarks.vector.EligibleLegMinima` caches are
-  cheap views over it);
+  (``distance_mode='landmark'`` queries all read the same vectors);
 - at most **one** :class:`~repro.graphs.distance.DistanceMatrix` per pool
   (``'matrix'`` queries share the rows for suspect rechecks);
 - a registry of **stratified**
@@ -39,8 +37,8 @@ queries under updates (Berkholz et al.): the substrate owns
   same-predicate landmark queries share one minima refresh per flush
   instead of paying O(|eligible|·|lm|) each.
 
-Every structure is leased with a refcount: registering a bounded query in
-shared scope acquires leases, unregistering releases them, and a structure
+Every structure is leased with a refcount: registering a bounded query
+acquires leases, unregistering releases them, and a structure
 whose refcount reaches zero is dropped so the pool stops paying its
 upkeep.  The pool syncs the substrate **once per flush phase** — node
 events flow through the eligibility index (whose listeners update ball
@@ -56,9 +54,8 @@ When the shared landmark index outgrows its
 monotone), the pool triggers a ``BatchLM`` re-selection at the end of the
 flush via :meth:`SharedDistanceSubstrate.enforce_lm_budget`.
 
-Per-query structures remain available (``distance_scope='per-query'``) as
-a fallback path, which the differential fuzz harness pits against this
-substrate flush for flush.
+The differential fuzz harness pits this substrate, flush for flush,
+against standalone indexes that own private distance structures.
 """
 
 from __future__ import annotations
@@ -467,7 +464,7 @@ class SharedDistanceSubstrate:
         budget (invoked by the pool at the end of a flush).
 
         The rebuild bumps the landmark version, so every version-keyed
-        cache (the shared leg minima, per-query minima) refreshes lazily
+        cache (the shared leg minima) refreshes lazily
         on its next consult; correctness is unaffected either way.
         Returns whether a rebuild happened.
         """

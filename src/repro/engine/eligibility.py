@@ -64,17 +64,15 @@ A node event costs what it can flip, not what is interned:
   the pivot no longer holds, the pivot atom flipped too and reconciles
   the conjunction unbucketed.  Affected entries are walked in interning
   order (a per-entry sequence number), never the whole entry table;
-- **per-query flip delivery** (in the router): each routed query
+- **flip delivery by predicate** (in the router): each routed query
   receives only the flips of its own predicates.
 
 The pool hands one flush's node events to :meth:`observe_events`, with
 the old values of the merged attributes, and routes the returned net
 *flips* (gained/lost predicate verdicts) to exactly the queries whose
-patterns use a flipped predicate.
-
-``eligibility_scope='per-query'`` (pool- or per-register) keeps the
-private-copy fallback, which the differential fuzz harness pits against
-this substrate flush for flush.
+patterns use a flipped predicate.  The differential fuzz harness pits
+this substrate, flush for flush, against standalone indexes that own and
+re-evaluate private candidate sets.
 """
 
 from __future__ import annotations

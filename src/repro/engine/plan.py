@@ -37,7 +37,8 @@ the views alongside ordinary queries (they are router-registered), then
 the translated updates to every join that leases it.
 
 Isomorphism queries are not plannable (their semantics is not a per-node
-relation join) and silently fall back to the per-query path.
+relation join) and silently fall back to the ``plan_scope='per-query'``
+path.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from ..patterns.predicate import Predicate
 from .query import SEMANTICS, ContinuousQuery
 
 # Isomorphism matches are embeddings, not per-node match sets; they have
-# no leg-join decomposition, so the pool falls back to per-query indexes.
+# no leg-join decomposition, so the pool falls back to plan_scope
+# 'per-query' indexes.
 PLANNABLE_SEMANTICS = ("simulation", "bounded")
 
 # (added pair edges, removed pair edges) popped from a view's delta log.
@@ -95,7 +97,7 @@ class SharedJoin:
     Mirrors :class:`BoundedSimulationIndex`'s pair-graph construction, but
     the pair edges are *copied* from the views (and thereafter patched
     from their deltas) rather than recomputed by ball BFS.  The inner
-    simulation index runs in per-query mode — its eligible sets are the
+    simulation index runs on private eligible sets — they are the
     adopted pair nodes, which retirement must be able to drop.
     """
 

@@ -24,23 +24,16 @@ against one evolving graph).  Per flush the pool:
 4. pops each touched query's match delta and publishes it to the query's
    change feeds.
 
-Distance structures for bounded queries default to the pool-level
-:class:`~repro.engine.distances.SharedDistanceSubstrate`
-(``distance_scope='shared'``): one landmark index / matrix / ball-field
-set per pool, synced exactly once per flush phase however many queries
-lease it.  ``distance_scope='per-query'`` (pool- or query-level) keeps
-the private-structure fallback, whose upkeep the flush pays once per
-observing query.
-
-Predicate eligibility likewise defaults to the pool-level
-:class:`~repro.engine.eligibility.SharedEligibilityIndex`
-(``eligibility_scope='shared'``): one version-counted eligible-node set
-per *distinct* predicate, updated once per node event, with queries
-leasing read-views — so per-flush predicate evaluations scale with
-distinct predicates, not pool size.  Node events then route as predicate
-*flips* (:meth:`UpdateRouter.route_flips`) instead of per-query predicate
-re-evaluation.  ``eligibility_scope='per-query'`` keeps the private
-candidate-set fallback.
+Distance structures for bounded queries live in the pool-level
+:class:`~repro.engine.distances.SharedDistanceSubstrate`: one landmark
+index / matrix / ball-field set per pool, synced exactly once per flush
+phase however many queries lease it.  Predicate eligibility likewise
+lives in the pool-level
+:class:`~repro.engine.eligibility.SharedEligibilityIndex`: one
+version-counted eligible-node set per *distinct* predicate, updated once
+per node event, with queries leasing read-views — so per-flush predicate
+evaluations scale with distinct predicates, not pool size.  Node events
+route as predicate *flips* (:meth:`UpdateRouter.route_flips`).
 
 A pool constructed with ``window=...`` (or fed per-insert ``ttl``
 overrides) is **temporal**: every inserted edge is stamped with a logical
@@ -77,21 +70,25 @@ from .plan import SharedPlan
 from .query import ContinuousQuery
 from .router import RouterStats, UpdateRouter
 
-DISTANCE_SCOPES = ("shared", "per-query")
-ELIGIBILITY_SCOPES = ("shared", "per-query")
 PLAN_SCOPES = ("shared", "per-query")
 
 
-def _check_scope(
-    scope: str,
-    name: str = "distance_scope",
-    allowed: Tuple[str, ...] = DISTANCE_SCOPES,
-) -> str:
-    if scope not in allowed:
+def _check_plan_scope(scope: str) -> str:
+    if scope not in PLAN_SCOPES:
         raise ValueError(
-            f"{name} must be one of {allowed}, got {scope!r}"
+            f"plan_scope must be one of {PLAN_SCOPES}, got {scope!r}"
         )
     return scope
+
+
+def _check_hashable(key: Any) -> None:
+    """Reject an unhashable node id (or edge) at intake, before anything
+    is queued: caught inside ``flush`` it would surface only after the
+    pending lists were cleared, dropping every valid op queued alongside."""
+    try:
+        hash(key)
+    except TypeError:
+        raise TypeError(f"node ids must be hashable, got {key!r}") from None
 
 
 class PoolStats:
@@ -104,7 +101,6 @@ class PoolStats:
         "attr_updates",
         "routed_pairs",
         "skipped_pairs",
-        "observer_batches",
         "view_repairs",
         "join_repairs",
         "join_pair_updates",
@@ -127,10 +123,6 @@ class PoolStats:
         self.attr_updates = 0
         self.routed_pairs = 0
         self.skipped_pairs = 0
-        # Per-query distance-structure syncs paid by the observers path
-        # (one per observing query per edge batch); the shared substrate's
-        # counterpart is SubstrateStats.structure_batches.
-        self.observer_batches = 0
         # Shared-plan counters.  view_repairs counts views with a
         # nonempty pair delta per flush — the quantity that must scale
         # with *distinct legs*, not registered queries; join_repairs /
@@ -195,8 +187,6 @@ class MatcherPool:
     def __init__(
         self,
         graph: DiGraph,
-        distance_scope: str = "shared",
-        eligibility_scope: str = "shared",
         plan_scope: str = "per-query",
         lm_budget: Optional[LandmarkBudget] = None,
         graph_backend: Optional[str] = None,
@@ -217,19 +207,10 @@ class MatcherPool:
         self.graph = graph
         self.graph_backend = type(graph).backend_name()
         self.stats = PoolStats()
-        # One distance structure per (graph, distance_mode), leased by all
-        # bounded queries registered with scope 'shared' (the default) and
-        # synced exactly once per flush phase below.  'per-query' queries
-        # keep owning private structures (the observers path).
-        self.distance_scope = _check_scope(distance_scope)
         # One eligible-node set per distinct predicate, leased by every
-        # query registered with eligibility scope 'shared' (the default)
-        # and by the distance substrate's ball fields / leg minima.  The
-        # index always exists — even an all-per-query pool needs it for
-        # shared distance structures' member sets.
-        self.eligibility_scope = _check_scope(
-            eligibility_scope, "eligibility_scope", ELIGIBILITY_SCOPES
-        )
+        # query and by the distance substrate's ball fields / leg minima;
+        # one distance structure per (graph, distance_mode), leased by all
+        # bounded queries and synced exactly once per flush phase below.
         self.eligibility = SharedEligibilityIndex(graph)
         self.substrate = SharedDistanceSubstrate(
             graph, eligibility=self.eligibility, lm_budget=lm_budget
@@ -239,7 +220,7 @@ class MatcherPool:
         # interned leg views and join their match relations from the
         # views' deltas instead of owning private indexes.  The default
         # is 'per-query' — sharing is opt-in per pool or per register.
-        self.plan_scope = _check_scope(plan_scope, "plan_scope", PLAN_SCOPES)
+        self.plan_scope = _check_plan_scope(plan_scope)
         self.plan = SharedPlan(self)
         self._router = UpdateRouter(stats=self.stats.router)
         self._queries: Dict[str, ContinuousQuery] = {}
@@ -312,25 +293,20 @@ class MatcherPool:
         name: Optional[str] = None,
         distance_mode: str = "bfs",
         max_embeddings: Optional[int] = None,
-        distance_scope: Optional[str] = None,
-        eligibility_scope: Optional[str] = None,
         plan_scope: Optional[str] = None,
         ttl: Optional[float] = None,
     ) -> ContinuousQuery:
         """Register a standing query; its index is built immediately.
 
         Pending (unflushed) updates are flushed first so the new index is
-        born consistent with every already-registered query.
-        ``distance_scope`` / ``eligibility_scope`` override the pool
-        defaults for this query: ``'shared'`` leases distance structures /
-        eligible sets from the pool substrates, ``'per-query'`` owns
-        private ones.  ``plan_scope='shared'`` rewrites the query against
-        the pool's multi-query plan (interned leg views + shared joins;
-        see :mod:`repro.engine.plan`) — on that path the query's match
-        relation lives in a shared join, whose views always use the
-        pool's substrate and eligibility, so the distance/eligibility
-        scope overrides do not apply.  Isomorphism queries are not
-        plannable and silently take the per-query path.
+        born consistent with every already-registered query.  The index
+        leases its eligible sets and (bounded semantics) its distance
+        structures from the pool substrates.  ``plan_scope='shared'``
+        rewrites the query against the pool's multi-query plan (interned
+        leg views + shared joins; see :mod:`repro.engine.plan`) — on that
+        path the query's match relation lives in a shared join over views
+        that lease the same substrates.  Isomorphism queries are not
+        plannable and silently take the ``plan_scope='per-query'`` path.
 
         ``ttl`` gives the query itself a lifetime: once pool time passes
         ``now + ttl`` the next flush auto-unregisters it (leases released,
@@ -347,9 +323,7 @@ class MatcherPool:
             name = f"q{n}"
         if name in self._queries:
             raise ValueError(f"query name {name!r} already registered")
-        pscope = _check_scope(
-            plan_scope or self.plan_scope, "plan_scope", PLAN_SCOPES
-        )
+        pscope = _check_plan_scope(plan_scope or self.plan_scope)
         if pscope == "shared" and self.plan.plannable(semantics):
             query = self.plan.build_query(
                 name, pattern, semantics, distance_mode
@@ -358,18 +332,6 @@ class MatcherPool:
                 query.expires_at = self._now + ttl
             self._queries[name] = query
             return query
-        scope = _check_scope(distance_scope or self.distance_scope)
-        substrate = (
-            self.substrate
-            if scope == "shared" and semantics == "bounded"
-            else None
-        )
-        escope = _check_scope(
-            eligibility_scope or self.eligibility_scope,
-            "eligibility_scope",
-            ELIGIBILITY_SCOPES,
-        )
-        eligibility = self.eligibility if escope == "shared" else None
         query = ContinuousQuery(
             name,
             pattern,
@@ -377,8 +339,8 @@ class MatcherPool:
             semantics=semantics,
             distance_mode=distance_mode,
             max_embeddings=max_embeddings,
-            substrate=substrate,
-            eligibility=eligibility,
+            substrate=self.substrate if semantics == "bounded" else None,
+            eligibility=self.eligibility,
         )
         if ttl is not None:
             query.expires_at = self._now + ttl
@@ -436,8 +398,10 @@ class MatcherPool:
         lifetime.  In a temporal pool every insert is stamped; elsewhere a
         stamp is recorded only when ``ttl`` is given.  Re-queueing the
         same edge overwrites the pending stamp (last write wins, matching
-        :func:`~repro.incremental.types.net_updates`).
+        :func:`~repro.incremental.types.net_updates`).  An unhashable
+        endpoint raises ``TypeError`` here and nothing is queued.
         """
+        _check_hashable(update.edge)
         if ts is not None or ttl is not None:
             if update.op != "insert":
                 raise ValueError(
@@ -456,6 +420,11 @@ class MatcherPool:
         ts: Optional[float] = None,
         ttl: Optional[float] = None,
     ) -> None:
+        """Buffer a batch of edge updates; an unhashable endpoint anywhere
+        in the batch raises ``TypeError`` before any of it is queued."""
+        updates = list(updates)
+        for u in updates:
+            _check_hashable(u.edge)
         if ts is not None or ttl is not None or self.temporal:
             for u in updates:
                 self.queue(
@@ -468,6 +437,7 @@ class MatcherPool:
 
     def queue_node(self, v: Node, **attrs: Any) -> None:
         """Buffer a node addition / attribute merge for the next flush."""
+        _check_hashable(v)
         self._pending_nodes.append((v, dict(attrs)))
 
     @property
@@ -588,64 +558,36 @@ class MatcherPool:
         plan_flips: List[Tuple[Predicate, Node, bool]] = []
 
         # ---- Phase A: node additions / attribute merges ----------------
-        # Per-query-eligibility queries route by predicate re-evaluation
-        # (legacy stages), once per node event; shared-eligibility queries
-        # route by the flips the substrate reports.  Node events are
-        # collected across the whole batch and handed to the substrate as
-        # ONE ``observe_events`` call *after* the per-event loop, each
-        # event carrying the merged names' pre-merge values: the
-        # substrate evaluates only the atoms the old -> new values can
-        # flip, each distinct atom column-major over all its touched
-        # nodes (vectorized on the columnar backend), diffing
-        # final verdicts against pre-batch posting sets — which yields the
-        # net flips per (predicate, node) directly, transient flip pairs
-        # never materializing.  Deferring observation past the legacy
-        # repairs is sound because phase A performs no edge edits: legacy
-        # repairs consult attr-independent distance structures and their
-        # own private eligible sets, never the shared postings.  The net
-        # flips are then delivered as ONE routing + repair pass per flush,
-        # each routed query receiving only its own predicates' flips:
-        # the sets are final by then, so batched repair reaches the same
-        # fixpoint as the per-event interleaving, without per-event
-        # routing overhead.  Fresh (edge-less) phase-A nodes ride the same
-        # batch: their gains are exactly the predicates they satisfy, and
-        # index adoption from final sets is equivalent to per-event
-        # apply_node_added.
+        # Node events are collected across the whole batch and handed to
+        # the eligibility substrate as ONE ``observe_events`` call, each
+        # event carrying the merged names' pre-merge values: the substrate
+        # evaluates only the atoms the old -> new values can flip, each
+        # distinct atom column-major over all its touched nodes
+        # (vectorized on the columnar backend), diffing final verdicts
+        # against pre-batch posting sets — which yields the net flips per
+        # (predicate, node) directly, transient flip pairs never
+        # materializing.  The net flips are then delivered as ONE routing
+        # + repair pass per flush, each routed query receiving only its
+        # own predicates' flips: the sets are final by then, so batched
+        # repair reaches the same fixpoint as a per-event interleaving,
+        # without per-event routing overhead.  Fresh (edge-less) phase-A
+        # nodes ride the same batch: their gains are exactly the
+        # predicates they satisfy, and index adoption from final sets is
+        # equivalent to per-event apply_node_added.
         report.attr_ops = len(node_ops)
-        legacy_scope = sum(1 for q in routed_pop if not q.shared_eligibility)
-        flip_scope = len(routed_pop) - legacy_scope
         graph = self.graph
         events: List[NodeEvent] = []
         for v, attrs in node_ops:
-            legacy: List[ContinuousQuery] = []
             if graph.has_node(v):
                 # The substrate's value index needs each merged name's
-                # pre-merge value; full attr copies only feed the legacy
-                # per-query-eligibility stage.
+                # pre-merge value.
                 row = graph.attrs(v)
-                old = {name: row.get(name, ABSENT) for name in attrs}
-                if legacy_scope:
-                    before = dict(row)
-                    merged = dict(before)
-                    merged.update(attrs)
-                    legacy = self._router.route_attr_change(
-                        before, merged, attrs.keys()
-                    )
-                graph.add_node(v, **attrs)
-                events.append((v, old, False))
-                for q in legacy:
-                    q.apply_attr_update(v, attrs)
-                    touched[id(q)] = q
+                events.append(
+                    (v, {name: row.get(name, ABSENT) for name in attrs}, False)
+                )
             else:
-                graph.add_node(v, **attrs)
                 events.append((v, None, True))
-                if legacy_scope:
-                    legacy = self._router.route_node(graph.attrs(v))
-                for q in legacy:
-                    q.apply_node_added(v, attrs)
-                    touched[id(q)] = q
-            report.routed += len(legacy)
-            report.skipped += legacy_scope - len(legacy)
+            graph.add_node(v, **attrs)
         net_flips = (
             self.eligibility.observe_events(events) if events else []
         )
@@ -656,10 +598,10 @@ class MatcherPool:
                 q.apply_eligibility_flip_batch(by_node)
                 touched[id(q)] = q
             report.routed += len(flipped)
-            report.skipped += flip_scope - len(flipped)
-        elif node_ops and flip_scope:
+            report.skipped += len(routed_pop) - len(flipped)
+        elif node_ops:
             # The batch decision still happened: no flips, nobody routed.
-            report.skipped += flip_scope
+            report.skipped += len(routed_pop)
 
         # ---- Phase B: coalesce edge updates ----------------------------
         net = net_updates(self.graph, edge_ops)
@@ -667,12 +609,6 @@ class MatcherPool:
         self.stats.net_edge_updates += len(net)
         deletions = [u.edge for u in net if u.op == "delete"]
         insertions = [u.edge for u in net if u.op == "insert"]
-        # Queries whose distance structures (landmark vectors, matrix,
-        # eligible-ball summary) must see every net edge update — cheap
-        # structure upkeep, distinct from routed pair-level repair.
-        observers = [
-            q for q in self._queries.values() if q.observes_all_edges
-        ]
 
         # ---- Phase C: deletions (route -> prep -> edit -> observe ->
         # repair).  Routing and prep consult the *pre-edit* graph and
@@ -701,9 +637,6 @@ class MatcherPool:
             self.graph.remove_edge(v, w)
         if deletions:
             self.substrate.observe_deleted(deletions)
-            self.stats.observer_batches += len(observers)
-            for q in observers:
-                q.observe_deletions(deletions)
         for q, prep in prepared:
             q.repair_deletions(prep)
 
@@ -724,8 +657,7 @@ class MatcherPool:
         # flip listeners pin them) for its routing verdicts on this very
         # batch to be sound.  An attribute-less node gains exactly the
         # trivial predicates, so the union is the same for every fresh
-        # node; it drives the shared-eligibility wildcard announcements
-        # below.
+        # node; it drives the wildcard announcement below.
         fresh_gains: List[Tuple[Predicate, Node, bool]] = []
         for node in fresh_nodes:
             gains = self.eligibility.observe_node_added(node)
@@ -733,9 +665,6 @@ class MatcherPool:
         plan_flips.extend(fresh_gains)
         if insertions:
             self.substrate.observe_inserted(insertions)
-            self.stats.observer_batches += len(observers)
-            for q in observers:
-                q.observe_insertions(insertions)
         routed_ins: Dict[
             int, Tuple[ContinuousQuery, List[Tuple[Node, Node]]]
         ] = {}
@@ -759,8 +688,7 @@ class MatcherPool:
         # One routing decision covers the whole fresh-node set, so it is
         # counted once per flush, not once per node.
         if fresh_nodes:
-            wildcard_queries = self._router.route_node({})
-            wildcard_queries += [
+            wildcard_queries = [
                 q for q, _flips in self._router.route_flips(fresh_gains)
             ]
             for node in fresh_nodes:
@@ -852,8 +780,8 @@ class MatcherPool:
         return dict(self._edge_stamps)
 
     def rebuild_counters(self) -> Dict[str, int]:
-        """Cumulative full-structure rebuild counts across every substrate
-        this pool maintains — shared and per-query alike.
+        """Cumulative full-structure rebuild counts across the pool's
+        shared distance substrate, plus their ``total``.
 
         The temporal test suites snapshot this around an expiry flush to
         assert bulk expiry rides the decremental repair paths: ball
@@ -862,12 +790,6 @@ class MatcherPool:
         them rebuild from scratch.
         """
         counters = dict(self.substrate.rebuild_counters())
-        per_query = 0
-        for q in list(self._queries.values()) + self.plan.views():
-            counts = getattr(q.index, "structure_rebuilds", None)
-            if counts is not None:
-                per_query += counts()
-        counters["per_query_rebuilds"] = per_query
         counters["total"] = sum(counters.values())
         return counters
 

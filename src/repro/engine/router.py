@@ -17,29 +17,22 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
   endpoint attributes alone are unsound.  Each such query hands the router
   its oracle split into per-pattern-edge *legs* over the shared distance
   substrate (:meth:`~repro.engine.query.ContinuousQuery.routing_legs`),
-  and the router inverts them (see stage 3 below) instead of asking every
-  query's :meth:`~repro.engine.query.ContinuousQuery.can_affect_edge`;
-- bounded queries with a trivial (``TRUE``) node predicate — for which a
-  brand-new attribute-less node is instantly eligible — observe every
-  edge via the wildcard-edge bucket *only* in per-query distance scope;
-  with a shared substrate the pool announces fresh nodes to the shared
-  ball fields before insertion routing, so even those queries are
-  soundly distance-routed;
-- attribute updates route by attribute *name*: merging attributes no
-  predicate mentions cannot change any eligibility;
-- queries leasing the pool's shared eligibility substrate route node
-  events by predicate **flips** instead: the substrate evaluates each
-  distinct atom once per batch, and :meth:`route_flips` selects exactly
-  the queries whose patterns use a flipped predicate, splitting the
-  flips by the same ``_by_pred`` buckets so each query receives only its
-  own — the attr-name stage, ``touches_node``, and
-  ``touches_attr_change`` predicate re-evaluations are skipped for them
-  entirely.
+  and the router inverts them (see the distance stage below) instead of
+  asking every query's
+  :meth:`~repro.engine.query.ContinuousQuery.can_affect_edge`.  The pool
+  announces fresh nodes to the shared ball fields before insertion
+  routing, so even trivial-(``TRUE``)-predicate queries are soundly
+  distance-routed;
+- node events route by predicate **flips**: the eligibility substrate
+  evaluates each distinct atom once per batch, and :meth:`route_flips`
+  selects exactly the queries whose patterns use a flipped predicate,
+  splitting the flips by the ``_by_pred`` buckets so each query receives
+  only its own.
 
-Edge routing is therefore three-staged: eq-key candidate lookup, endpoint
-predicate confirm (``touches_edge`` — member-set lookups under shared
-eligibility), and the distance legs for distance-routed queries.  Stage 3
-costs what covers the edge, not the number of registered queries:
+Edge routing is therefore two-staged: eq-key candidate lookup confirmed
+by endpoint member-set lookups (``touches_edge``), and the distance legs
+for distance-routed queries.  The distance stage costs what covers the
+edge, not the number of registered queries:
 
 - **field legs** (``bfs``/``matrix`` modes, trivial-predicate landmark
   queries) sit in a table ``src field -> {(tgt field, r): queries}``.  The
@@ -51,13 +44,10 @@ costs what covers the edge, not the number of registered queries:
   posted cheaply; they are keyed by what decides them —
   ``(pred_u, pred_u2, r)`` and ``(pred_u, pred_u2)`` — and consulted once
   per distinct key per edge, the verdict fanned out to every query
-  holding the key;
-- a query with private distance structures (``distance_scope=
-  'per-query'``) is its own oracle-leg key: one ``can_affect_edge``
-  consult per query per edge.
+  holding the key.
 
 :class:`RouterStats` counts both costs: ``leg_probes`` (field-leg checks)
-and ``oracle_consults`` (oracle-leg and per-query consults).  Queries
+and ``oracle_consults`` (oracle-leg consults).  Queries
 that fail every stage do **zero** work for the update.
 """
 
@@ -102,9 +92,7 @@ class UpdateRouter:
         self._order: Dict[int, int] = {}  # registration order for stable output
         self._next_rank = 0
         self._eq: Dict[EqKey, Set[int]] = {}
-        self._by_attr: Dict[str, Set[int]] = {}
         self._wild_node: Set[int] = set()
-        self._wild_edge: Set[int] = set()
         # Distance legs: src field -> {(tgt field, r): qids}, walked
         # through the substrate's posting index; and oracle legs, key ->
         # [probe, qids].  _legs remembers what each query registered so
@@ -115,10 +103,7 @@ class UpdateRouter:
         ] = {}
         self._oracle_legs: Dict[Any, List[Any]] = {}
         self._legs: Dict[int, List[RoutingLeg]] = {}
-        # Shared-eligibility queries, indexed by interned predicate for
-        # flip routing; they are excluded from the legacy attr-name and
-        # node-predicate stages.
-        self._flip_routed: Set[int] = set()
+        # Queries indexed by interned predicate for flip routing.
         self._by_pred: Dict[Predicate, Set[int]] = {}
 
     def __len__(self) -> int:
@@ -131,21 +116,14 @@ class UpdateRouter:
         self._next_rank += 1
         for key in query.eq_keys:
             self._eq.setdefault(key, set()).add(qid)
-        if query.shared_eligibility:
-            self._flip_routed.add(qid)
-            for pred in query.predicates:
-                # Unsatisfiable conjunctions never flip (the substrate
-                # keeps them as empty, upkeep-free sets), so they consume
-                # no routing bucket either.
-                if not pred.is_unsatisfiable():
-                    self._by_pred.setdefault(pred, set()).add(qid)
-        else:
-            for name in query.attr_names:
-                self._by_attr.setdefault(name, set()).add(qid)
+        for pred in query.predicates:
+            # Unsatisfiable conjunctions never flip (the substrate keeps
+            # them as empty, upkeep-free sets), so they consume no routing
+            # bucket either.
+            if not pred.is_unsatisfiable():
+                self._by_pred.setdefault(pred, set()).add(qid)
         if query.wildcard_node:
             self._wild_node.add(qid)
-        if query.routes_all_edges:
-            self._wild_edge.add(qid)
         if query.distance_routed:
             legs = query.routing_legs()
             self._legs[qid] = legs
@@ -202,21 +180,13 @@ class UpdateRouter:
                 bucket.discard(qid)
                 if not bucket:
                     del self._eq[key]
-        for name in query.attr_names:
-            bucket = self._by_attr.get(name)
-            if bucket is not None:
-                bucket.discard(qid)
-                if not bucket:
-                    del self._by_attr[name]
         for pred in query.predicates:
             bucket = self._by_pred.get(pred)
             if bucket is not None:
                 bucket.discard(qid)
                 if not bucket:
                     del self._by_pred[pred]
-        self._flip_routed.discard(qid)
         self._wild_node.discard(qid)
-        self._wild_edge.discard(qid)
         for leg in self._legs.pop(qid, ()):
             self._drop_leg(qid, leg)
 
@@ -252,30 +222,26 @@ class UpdateRouter:
     ) -> List[ContinuousQuery]:
         """Queries an edge update between ``v`` and ``w`` can affect.
 
-        Three stages:
+        Two stages:
 
         1. eq-key candidate lookup on both endpoints' attrs, confirmed by
-           the endpoint predicate pairing (``touches_edge``) — sound and
+           the endpoint member-set pairing (``touches_edge``) — sound and
            complete for simulation/isomorphism semantics and bound-1
            bounded patterns (an edge only enters their bookkeeping when
            its endpoints can play adjacent pattern nodes);
-        2. the wildcard-edge bucket (trivial-predicate bounded queries);
-        3. the distance legs: field legs through the posting index of the
+        2. the distance legs: field legs through the posting index of the
            forward fields covering ``v``, and one consult per oracle-leg
-           key (a per-query-scope query is its own key).
+           key.
 
-        The selection equals stages 1-2 plus ``{q : q.can_affect_edge(v,
+        The selection equals stage 1 plus ``{q : q.can_affect_edge(v,
         w)}`` over the distance-routed queries.  Callers must time the
         call against the distance structures: pre-edit for deletions,
         post-``observe`` for insertions (see :meth:`MatcherPool.flush`).
         """
         cands = self._node_candidates(v_attrs) & self._node_candidates(w_attrs)
-        selected = set(self._wild_edge)
-        for qid in cands:
-            if qid not in selected and self._queries[qid].touches_edge(
-                v_attrs, w_attrs, v, w
-            ):
-                selected.add(qid)
+        selected = {
+            qid for qid in cands if self._queries[qid].touches_edge(v, w)
+        }
         stats = self.stats
         if self._field_legs:
             for src in self._postings.get(v, ()):
@@ -299,47 +265,11 @@ class UpdateRouter:
                     selected |= qids
         return self._sorted(selected)
 
-    def route_node(self, attrs: Mapping[str, Any]) -> List[ContinuousQuery]:
-        """Per-query-eligibility queries for which a (new) node with these
-        attrs is eligible.
-
-        Shared-eligibility queries are excluded — the pool routes them
-        through :meth:`route_flips` with the gains the substrate reported
-        for the node, so their predicates are never re-evaluated here.
-        """
-        return [
-            q
-            for q in self._sorted(
-                self._node_candidates(attrs) - self._flip_routed
-            )
-            if q.touches_node(attrs)
-        ]
-
-    def route_attr_change(
-        self,
-        old_attrs: Mapping[str, Any],
-        new_attrs: Mapping[str, Any],
-        changed_names,
-    ) -> List[ContinuousQuery]:
-        """Per-query-eligibility queries whose eligibility the old->new
-        attr merge can flip (shared-eligibility queries route through
-        :meth:`route_flips` instead)."""
-        cands: Set[int] = set()
-        for name in changed_names:
-            bucket = self._by_attr.get(name)
-            if bucket:
-                cands.update(bucket)
-        return [
-            q
-            for q in self._sorted(cands)
-            if q.touches_attr_change(old_attrs, new_attrs)
-        ]
-
     def route_flips(
         self, flips: Iterable[EventFlip]
     ) -> List[Tuple[ContinuousQuery, Dict[Any, List[Flip]]]]:
-        """Shared-eligibility queries whose patterns use a flipped
-        predicate, each with only the flips of its own predicates.
+        """Queries whose patterns use a flipped predicate, each with only
+        the flips of its own predicates.
 
         ``flips`` are the substrate's net ``(predicate, node, gained)``
         verdicts; every selected query gets them grouped by node, in
@@ -348,16 +278,16 @@ class UpdateRouter:
         batch; this stage is one ``_by_pred`` lookup per flip, so its cost
         scales with the flips and their users, not with pool size.
         """
-        per_query: Dict[int, Dict[Any, List[Flip]]] = {}
+        by_query: Dict[int, Dict[Any, List[Flip]]] = {}
         by_pred = self._by_pred
         for pred, v, gained in flips:
             qids = by_pred.get(pred)
             if qids:
                 for qid in qids:
-                    per_query.setdefault(qid, {}).setdefault(v, []).append(
+                    by_query.setdefault(qid, {}).setdefault(v, []).append(
                         (pred, gained)
                     )
         return [
-            (self._queries[qid], per_query[qid])
-            for qid in sorted(per_query, key=self._order.__getitem__)
+            (self._queries[qid], by_query[qid])
+            for qid in sorted(by_query, key=self._order.__getitem__)
         ]

@@ -1,6 +1,6 @@
 """Incremental matching: IncMatch, IncBMatch, IncIsoMat, HORNSAT baseline."""
 
-from .ballsummary import BallField, EligibleBallSummary
+from .ballsummary import BallField
 from .affected import (
     AffReport,
     measure_incbsim,
@@ -41,7 +41,6 @@ __all__ = [
     "SimulationIndex",
     "BoundedSimulationIndex",
     "BallField",
-    "EligibleBallSummary",
     "HornSimulation",
     "IsoIndex",
     "classify_pair",

@@ -1,4 +1,4 @@
-"""Eligible-ball summaries: distance-aware update routing for bound-k queries.
+"""Eligible-ball fields: distance-aware update routing for bound-k queries.
 
 A bounded-simulation pair ``(a, c)`` for pattern edge ``(u, u2)`` with
 bound ``k`` can only be *created* or *broken* by a data edge ``(x, y)``
@@ -20,7 +20,7 @@ every update class:
   exactly one layer closer, or when it is a pinned source), phase 2
   reseeds the affected region from its unaffected boundary and relaxes.
 
-Because the repair is exact, the summary needs no staleness counters or
+Because the repair is exact, a field needs no staleness counters or
 threshold rebuilds: it tightens on deletions immediately, so routing
 pruning power never decays.
 
@@ -29,17 +29,10 @@ depend on the cap, so one field maintained at cap ``r_max`` answers
 :meth:`BallField.within` for *every* radius ``r <= r_max`` — and the cap
 itself can be raised (re-grow from the old frontier layer, which capped
 BFS left un-relaxed) or lowered (truncate entries beyond the new cap)
-exactly, without a rebuild.  :class:`EligibleBallSummary` therefore keeps
-one field per (pattern node, direction) — sized to the largest incident
-bound — instead of one pair per pattern edge, and the pool-level
-:class:`~repro.engine.distances.SharedDistanceSubstrate` leases one field
-per ``(predicate, direction)`` that serves all leased radii.
-
-Soundness contract: :meth:`EligibleBallSummary.can_affect` never returns
-``False`` for an edge that could create or break a pair on the graph state
-the summary has observed (and, being exact, it also never returns ``True``
-spuriously).  The :class:`~repro.engine.pool.MatcherPool` consults it
-*pre-edit* for deletions and *post-edit* (after :meth:`note_inserted`) for
+exactly, without a rebuild.  The pool-level
+:class:`~repro.engine.distances.SharedDistanceSubstrate` therefore leases
+one field per ``(predicate, direction)`` that serves all leased radii, and
+the pool's router reads them *pre-edit* for deletions and *post-edit* for
 insertions, mirroring the two-phase deletion dance of the repair path
 itself.
 """
@@ -51,9 +44,7 @@ from itertools import count
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
-from ..patterns.pattern import Bound, PatternNode
 
-PatternEdge = Tuple[PatternNode, PatternNode]
 # node -> the fields whose dist holds it (see BallField.postings).
 Postings = Dict[Node, Set["BallField"]]
 
@@ -375,126 +366,3 @@ class BallField:
             f"ball field drift (radius={self.radius}, reverse={self.reverse}): "
             f"stale={stale} missing={set(true) - set(self.dist)}"
         )
-
-
-def _merge_radius(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """The larger of two radii, where ``None`` means unbounded."""
-    if a is None or b is None:
-        return None
-    return a if a >= b else b
-
-
-class EligibleBallSummary:
-    """Stratified per-(pattern node, direction) ball unions answering
-    "can this edge matter?".
-
-    One :class:`BallField` per pattern node and direction, capped at the
-    largest radius any incident pattern edge needs; each edge's oracle
-    consult reads its own stratum via :meth:`BallField.within`.
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        bounds: Dict[PatternEdge, Bound],
-        eligible: Dict[PatternNode, set],
-    ) -> None:
-        self._graph = graph
-        self._bounds = bounds
-        self._eligible = eligible
-        # (pattern node, reverse) -> stratified field.
-        self._fields: Dict[Tuple[PatternNode, bool], BallField] = {}
-        self.rebuilds = 0
-        self.rebuild()
-
-    # ------------------------------------------------------------------
-    # Construction / rebuild
-    # ------------------------------------------------------------------
-    def _radius(self, bound: Bound) -> Optional[int]:
-        return None if bound is None else bound - 1
-
-    def _field_caps(self) -> Dict[Tuple[PatternNode, bool], Optional[int]]:
-        """Cap per (pattern node, direction): the max incident radius."""
-        caps: Dict[Tuple[PatternNode, bool], Optional[int]] = {}
-        for (u, u2), bound in self._bounds.items():
-            r = self._radius(bound)
-            for key in ((u, False), (u2, True)):
-                caps[key] = _merge_radius(caps[key], r) if key in caps else r
-        return caps
-
-    def rebuild(self) -> None:
-        """Recompute every ball union from scratch on the current graph."""
-        self.rebuilds += 1
-        self._fields = {
-            (u, reverse): BallField(
-                self._graph, self._eligible[u], cap, reverse=reverse
-            )
-            for (u, reverse), cap in self._field_caps().items()
-        }
-
-    # ------------------------------------------------------------------
-    # The routing oracle
-    # ------------------------------------------------------------------
-    def can_affect(self, x: Node, y: Node) -> bool:
-        """May an edge update between ``x`` and ``y`` create/break a pair?
-
-        True iff for some pattern edge ``x`` lies in the source ball union
-        and ``y`` in the target one at that edge's own radius; exact on
-        the observed graph state.
-        """
-        fields = self._fields
-        for (u, u2), bound in self._bounds.items():
-            r = self._radius(bound)
-            if fields[(u, False)].within(x, r) and fields[(u2, True)].within(
-                y, r
-            ):
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance
-    # ------------------------------------------------------------------
-    def note_inserted(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """Grow the balls for edges already inserted into the graph."""
-        edges = list(edges)
-        for field in self._fields.values():
-            field.grow_edges(edges)
-
-    def note_deleted(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """Decrementally repair the balls for already-removed edges."""
-        edges = list(edges)
-        for field in self._fields.values():
-            field.shrink_edges(edges)
-
-    def note_eligible_gained(self, u: PatternNode, v: Node) -> None:
-        """Node ``v`` became eligible for pattern node ``u``: grow balls."""
-        for reverse in (False, True):
-            field = self._fields.get((u, reverse))
-            if field is not None:
-                field.source_gained(v)
-
-    def note_eligible_lost(self, u: PatternNode, v: Node) -> None:
-        """Node ``v`` lost eligibility for ``u``: repair decrementally."""
-        for reverse in (False, True):
-            field = self._fields.get((u, reverse))
-            if field is not None:
-                field.source_lost(v)
-
-    # ------------------------------------------------------------------
-    # Invariants (tests)
-    # ------------------------------------------------------------------
-    def check_superset_invariant(self) -> None:
-        """Every true current ball entry must appear in the summary."""
-        for (u, reverse), field in self._fields.items():
-            true = _capped_multi_source(
-                self._graph, self._eligible[u], field.radius, reverse=reverse
-            )
-            missing = set(true) - set(field.dist)
-            assert not missing, (
-                f"summary ball for ({u}, reverse={reverse}) missing {missing}"
-            )
-
-    def check_exact_invariant(self) -> None:
-        """Decremental repair keeps every field equal to a fresh rebuild."""
-        for field in self._fields.values():
-            field.check_exact()

@@ -47,18 +47,19 @@ a data edge changes.
   errs toward routing *more* edges (deletions tolerated, insertions
   force a rebuild).
 
-Distance structures are owned per index by default; when a pool-level
-:class:`~repro.engine.distances.SharedDistanceSubstrate` is passed, the
-landmark index / matrix / routing-oracle ball fields are **leased** from
-it instead and the pool keeps them in sync once per flush for every
-leasing query (see :meth:`BoundedSimulationIndex.needs_edge_observation`).
-The distance-aware routing oracle (:meth:`can_affect_edge`) consults
-per-landmark minima over the eligible sets in ``landmark`` mode (one
-O(|lm|) early-exit scan per pattern edge) and an exactly-maintained
-eligible-ball summary (or the substrate's shared fields) in ``bfs`` and
-``matrix`` modes.  With a substrate, :meth:`routing_legs` exposes the same
-oracle as per-pattern-edge legs over shared structures, which the pool's
-router inverts instead of consulting each query.
+A standalone index owns the distance structures its repairs read (the
+landmark index, the matrix, the interval oracle for ``*``-bound
+rechecks) and keeps them in sync inside its own update entry points.
+When a pool-level :class:`~repro.engine.distances.SharedDistanceSubstrate`
+is passed, those structures are **leased** from it instead, and the pool
+keeps them in sync once per flush for every leasing query.  Only a
+substrate-backed index has a distance-aware routing oracle
+(:meth:`can_affect_edge`): shared per-landmark leg minima in ``landmark``
+mode (one O(|lm|) early-exit scan per pattern edge), shared reach
+closures in ``interval`` mode, and the shared ball fields in ``bfs`` and
+``matrix`` modes.  :meth:`routing_legs` exposes the same oracle as
+per-pattern-edge legs, which the pool's router inverts instead of
+consulting each query.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
 from ..graphs.reachability import IntervalReachabilityIndex, ReachClosure
 from ..graphs.traversal import INF, ancestors_within, descendants_within
-from ..landmarks.vector import EligibleLegMinima, LandmarkIndex
-from .ballsummary import BallField, EligibleBallSummary
+from ..landmarks.vector import LandmarkIndex
+from .ballsummary import BallField
 from ..matching.relation import MatchRelation, totalize
 from ..matching.simulation import candidate_sets
 from ..patterns.pattern import Bound, Pattern, PatternNode
@@ -145,10 +146,9 @@ class BoundedSimulationIndex:
         # set, the landmark index / matrix are leased rather than owned,
         # the routing-oracle ball fields are leased per (predicate,
         # radius, direction), and the *pool* keeps every shared structure
-        # in sync (needs_edge_observation() turns False).  A
-        # substrate-backed index must therefore be driven through the
-        # pool's prepare/observe/repair entry points, not the raw
-        # insert_edge/delete_edge/apply_batch unit paths.
+        # in sync.  A substrate-backed index must therefore be driven
+        # through the pool's prepare/observe/repair entry points, not the
+        # raw insert_edge/delete_edge/apply_batch unit paths.
         self.substrate = substrate
         # A pool-level SharedEligibilityIndex (engine.eligibility): the
         # per-pattern-node eligible sets become leased read-views of one
@@ -175,30 +175,25 @@ class BoundedSimulationIndex:
         self._pair_delta: Optional[DeltaLog] = None
         self._lm: Optional[LandmarkIndex] = None
         self._matrix: Optional[DistanceMatrix] = None
-        self._minima: Optional[EligibleLegMinima] = None
-        # Built lazily on first routing-oracle consult (bfs/matrix modes),
-        # so standalone batch users never pay for it.
-        self._summary: Optional[EligibleBallSummary] = None
-        # Shared-scope oracle: pattern edge -> (src, tgt) leased BallField,
+        # Routing oracle: pattern edge -> (src, tgt) leased BallField,
         # plus the exact lease keys so release() returns what was taken.
         self._shared_fields: Optional[Dict[PatternEdge, Tuple[BallField, BallField]]] = None
         self._field_keys: List[Tuple] = []
         # Interval mode: SCC-interval reachability oracle plus one source
-        # closure per (pattern node / predicate, direction).  Substrate
-        # scope leases both; per-query scope owns them (lazily built) and
-        # marks closures dirty through the eligibility hooks below.
+        # closure per (predicate, direction).  A substrate-backed index
+        # leases both; a standalone one owns only the oracle (built lazily
+        # for *-bound rechecks).
         self._reach: Optional[IntervalReachabilityIndex] = None
         self._reach_leased = False
         self._reach_closures: Optional[
             Dict[PatternEdge, Tuple[ReachClosure, ReachClosure]]
         ] = None
-        self._layer_closures: Dict[Tuple[PatternNode, bool], ReachClosure] = {}
         self._closure_keys: List[Tuple[Predicate, bool]] = []
         # Substrate leg-minima leases (landmark mode): distinct predicates
         # whose shared member minima this index's oracle reads.
         self._minima_keys: List[Predicate] = []
-        # Single source of truth for trivialness: ContinuousQuery's router
-        # bucketing and can_affect_edge's oracle branch must agree on it.
+        # A trivial (TRUE) predicate sends landmark-mode routing through
+        # the shared ball fields (see _routes_via_shared_fields).
         self.has_trivial_pred = any(
             pattern.predicate(u).is_trivial() for u in pattern.nodes()
         )
@@ -216,7 +211,6 @@ class BoundedSimulationIndex:
                         substrate.lease_leg_minima(pred)
             else:
                 self._lm = LandmarkIndex(graph, strategy=landmark_strategy)
-                self._minima = EligibleLegMinima(self._lm, self.eligible)
         elif distance_mode == "matrix":
             if substrate is not None:
                 self._matrix = substrate.lease_matrix()
@@ -388,7 +382,7 @@ class BoundedSimulationIndex:
 
         The inner index's eligible set is the marker (pair-graph node
         presence alone would lie after a retire, which leaves the orphaned
-        pair node in the graph).  In per-query mode adoption coincides
+        pair node in the graph).  With private sets adoption coincides
         with ``v in self.eligible[u]``; with shared sets a member may
         predate this index's sight of it.
         """
@@ -396,11 +390,6 @@ class BoundedSimulationIndex:
 
     def _adopt(self, u: PatternNode, v: Node) -> None:
         self._inner.add_node((u, v), **{LAYER_ATTR: u})
-        if self._summary is not None:
-            self._summary.note_eligible_gained(u, v)
-        if self._minima is not None:
-            self._minima.note_gained(u, v)
-        self._dirty_layer_closures(u)
 
     def update_node_attrs(self, v: Node, **attrs) -> None:
         """Change ``v``'s attributes and repair the match.
@@ -457,13 +446,6 @@ class BoundedSimulationIndex:
         both endpoints.  Materialization consults only the final sets, so
         the interleaved per-event order reaches the same pair graph.
         """
-        # The shared sets flipped regardless of this index's adoption
-        # state, so any per-query closures over them are stale either way.
-        for _v, gained, lost in events:
-            for u in gained:
-                self._dirty_layer_closures(u)
-            for u in lost:
-                self._dirty_layer_closures(u)
         events = [
             (
                 v,
@@ -480,10 +462,6 @@ class BoundedSimulationIndex:
                     pair_updates.append(upd_delete(pv, child))
                 for parent in list(self._pair_graph.parents(pv)):
                     pair_updates.append(upd_delete(parent, pv))
-                if self._summary is not None:
-                    self._summary.note_eligible_lost(u, v)
-                if self._minima is not None:
-                    self._minima.note_lost(u, v)
         if pair_updates:
             self._apply_pair_batch(pair_updates)
         # Retire after the edges are gone so leaf-layer matches drop too.
@@ -525,10 +503,9 @@ class BoundedSimulationIndex:
     ) -> None:
         """Pair-level repair for per-layer eligibility flips of ``v``.
 
-        Expects ``self.eligible`` to reflect the flips already (whether
-        mutated here in per-query mode or by the substrate in shared
-        mode) and ``gained``/``lost`` to name exactly the layers whose
-        adoption state must change.
+        Expects ``self.eligible`` to reflect the flips already and
+        ``gained``/``lost`` to name exactly the layers whose adoption state
+        must change.
         """
         pair_updates: List[Update] = []
         for u in lost:
@@ -537,11 +514,6 @@ class BoundedSimulationIndex:
                 pair_updates.append(upd_delete(pv, child))
             for parent in list(self._pair_graph.parents(pv)):
                 pair_updates.append(upd_delete(parent, pv))
-            if self._summary is not None:
-                self._summary.note_eligible_lost(u, v)
-            if self._minima is not None:
-                self._minima.note_lost(u, v)
-            self._dirty_layer_closures(u)
         if pair_updates:
             self._apply_pair_batch(pair_updates)
         # Retire after the edges are gone so leaf-layer matches drop too.
@@ -773,8 +745,6 @@ class BoundedSimulationIndex:
             self._matrix_insert(x, y)
         if self._reach is not None and not self._reach_leased:
             self._reach.notify_edges_inserted()
-        if self._summary is not None:
-            self._summary.note_inserted([(x, y)])
         bins, bouts = self._balls_around(x, y)
         pair_updates = self._pairs_created_by_insert(x, y, bins, bouts)
         if pair_updates:
@@ -793,8 +763,6 @@ class BoundedSimulationIndex:
             self._matrix_delete([(x, y)])
         if self._reach is not None and not self._reach_leased:
             self._reach.notify_edges_deleted()
-        if self._summary is not None:
-            self._summary.note_deleted([(x, y)])
         pair_updates = self._pairs_broken_by_delete(x, y, bins, bouts)
         if pair_updates:
             self._apply_pair_batch(pair_updates)
@@ -828,8 +796,6 @@ class BoundedSimulationIndex:
                 self._matrix_delete([u.edge for u in deletions])
             if self._reach is not None and not self._reach_leased:
                 self._reach.notify_edges_deleted(len(deletions))
-            if self._summary is not None:
-                self._summary.note_deleted([u.edge for u in deletions])
         suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
         for x, y, bins, bouts in del_balls:
             self._collect_suspects(bins, bouts, suspects)
@@ -851,8 +817,6 @@ class BoundedSimulationIndex:
                     self._matrix.apply_insert(u.source, u.target)
             if self._reach is not None and not self._reach_leased:
                 self._reach.notify_edges_inserted(len(insertions))
-            if self._summary is not None:
-                self._summary.note_inserted([u.edge for u in insertions])
         pending = {
             (pu.source, pu.target) for pu in pair_updates if pu.op == "delete"
         }
@@ -889,51 +853,9 @@ class BoundedSimulationIndex:
         """
         return any(b != 1 for b in self._bounds.values())
 
-    def needs_edge_observation(self) -> bool:
-        """Must the pool feed every net edge update to ``observe_*_edges``?
-
-        Landmark vectors and the all-pairs matrix track the whole graph,
-        and the ball summary behind the ``bfs``/``matrix`` routing oracle
-        must watch inserts/deletes to stay exact.  Observation is cheap
-        structure upkeep — it does no pair-level repair.  With a shared
-        substrate every structure this index reads is pool-owned and the
-        pool syncs each one exactly once per flush, so the index itself
-        needs no per-query observation at all.
-        """
-        if self.substrate is not None:
-            return False
-        return (
-            self._lm is not None
-            or self._matrix is not None
-            or self.distance_routed()
-        )
-
-    def _ensure_summary(self) -> EligibleBallSummary:
-        if self._summary is None:
-            self._summary = EligibleBallSummary(
-                self.graph, self._bounds, self.eligible
-            )
-        return self._summary
-
-    def ball_summary(self) -> Optional[EligibleBallSummary]:
-        return self._summary
-
-    def structure_rebuilds(self) -> int:
-        """Full from-scratch recomputations of this index's *private*
-        distance structures (leased shared ones are counted by the
-        substrate's :meth:`~repro.engine.distances.SharedDistanceSubstrate.
-        rebuild_counters`).  Initial builds count; the pool's temporal
-        suites assert the delta across a bulk-expiry flush is zero."""
-        total = 0
-        if self._summary is not None:
-            total += self._summary.rebuilds
-        if self._reach is not None and not self._reach_leased:
-            total += self._reach.rebuild_count
-        return total
-
     def _ensure_reach(self) -> IntervalReachabilityIndex:
         """The interval oracle — leased from the substrate at registration
-        or owned per-query (built lazily on first consult)."""
+        or owned by a standalone index (built lazily on first recheck)."""
         if self._reach is None:
             self._reach = IntervalReachabilityIndex(self.graph)
         return self._reach
@@ -941,49 +863,19 @@ class BoundedSimulationIndex:
     def reachability_index(self) -> Optional[IntervalReachabilityIndex]:
         return self._reach
 
-    def _ensure_reach_closures(
-        self,
-    ) -> Dict[PatternEdge, Tuple[ReachClosure, ReachClosure]]:
-        """Per-pattern-edge (src, tgt) source closures for interval routing.
-
-        Substrate scope wires these at registration (closures keyed by
-        predicate, dirtied by eligibility listeners); per-query scope
-        builds one closure per (pattern node, direction) over its own
-        eligible sets, dirtied through the adoption / flip hooks.
-        """
-        if self._reach_closures is None:
-            closures: Dict[PatternEdge, Tuple[ReachClosure, ReachClosure]] = {}
-            for (u, u2) in self._bounds:
-                closures[(u, u2)] = (
-                    self._own_closure(u, False),
-                    self._own_closure(u2, True),
-                )
-            self._reach_closures = closures
-        return self._reach_closures
-
-    def _own_closure(self, u: PatternNode, reverse: bool) -> ReachClosure:
-        key = (u, reverse)
-        closure = self._layer_closures.get(key)
-        if closure is None:
-            closure = ReachClosure(
-                self._ensure_reach(), self.eligible[u], reverse
+    def _substrate(self):
+        """The leased substrate the routing oracle reads; standalone
+        indexes have no routing oracle."""
+        if self.substrate is None:
+            raise RuntimeError(
+                "the routing oracle reads a shared distance substrate; "
+                "this BoundedSimulationIndex was built without one"
             )
-            self._layer_closures[key] = closure
-        return closure
-
-    def _dirty_layer_closures(self, u: PatternNode) -> None:
-        """Layer ``u``'s eligible set changed: per-query closures over it
-        must recompute (substrate closures hear it via listeners)."""
-        if not self._layer_closures:
-            return
-        for reverse in (False, True):
-            closure = self._layer_closures.get((u, reverse))
-            if closure is not None:
-                closure.mark_dirty()
+        return self.substrate
 
     def _routes_via_shared_fields(self) -> bool:
         """Does the routing oracle read the substrate's shared ball fields
-        (vs the landmark minima / reach closures / per-query summary)?
+        (vs the landmark minima / reach closures)?
         Single predicate for the eager-lease decision and the
         can_affect_edge branch.  Interval mode never does: its closures
         handle trivial predicates soundly (a fresh node is announced to
@@ -1033,7 +925,6 @@ class BoundedSimulationIndex:
         if self._lm is not None:
             self.substrate.release_landmarks()
             self._lm = None
-            self._minima = None
         for pred in self._minima_keys:
             self.substrate.release_leg_minima(pred)
         self._minima_keys = []
@@ -1056,7 +947,7 @@ class BoundedSimulationIndex:
         # re-lease substrate structures nobody will ever release again.
         self.substrate = None
 
-    def routing_legs(self) -> Optional[List[RoutingLeg]]:
+    def routing_legs(self) -> List[RoutingLeg]:
         """:meth:`can_affect_edge` split into one leg per pattern edge
         over the substrate's shared structures, for the pool's inverted
         router: the oracle admits ``(x, y)`` iff some leg does.
@@ -1069,18 +960,14 @@ class BoundedSimulationIndex:
           (predicate, direction), one verdict per ``(pred_u, pred_u2)``:
           :class:`OracleLeg`.
 
-        ``None`` without a substrate: private structures are consulted
-        per query.  Only meaningful for :meth:`distance_routed` indexes.
+        Only meaningful for :meth:`distance_routed` indexes.
         """
-        substrate = self.substrate
-        if substrate is None:
-            return None
+        substrate = self._substrate()
         pred = self.pattern.predicate
         legs: List[RoutingLeg] = []
         if self.distance_mode == "interval":
-            closures = self._ensure_reach_closures()
             for u, u2 in self._bounds:
-                src, tgt = closures[(u, u2)]
+                src, tgt = self._reach_closures[(u, u2)]
                 legs.append(OracleLeg(
                     ("interval", pred(u), pred(u2)),
                     lambda x, y, s=src, t=tgt: s.contains(x) and t.contains(y),
@@ -1113,19 +1000,16 @@ class BoundedSimulationIndex:
         observed (so same-batch edges are already reflected) — mirroring
         the ``prepare_deletions`` two-phase dance.
 
-        Backing store: in ``landmark`` mode, per-landmark minima over the
-        eligible sets (:class:`EligibleLegMinima`) make each consult one
-        O(|lm|) early-exit scan — per-query minima keyed by pattern node
-        without a substrate, or the substrate's shared cache keyed by
-        ``(predicate, lm-version)`` with one (so same-predicate queries
-        share one minima refresh per flush); ``bfs`` and ``matrix`` modes
-        consult the exactly-maintained eligible-ball summary (per-query)
-        or the substrate's shared ball fields.  Trivial-(TRUE)-predicate
-        queries always go through the shared fields when a substrate
-        exists: the pool announces fresh nodes to the substrate before
-        insertion routing, so a brand-new attribute-less node is already
-        a pinned distance-0 source when this oracle runs — the one case
-        the eligible-set-based structures cannot anticipate.
+        Backing store (always the leased substrate's): in ``landmark``
+        mode, the shared per-landmark minima over the eligible sets keyed
+        by ``(predicate, lm-version)`` make each consult one O(|lm|)
+        early-exit scan, and same-predicate queries share one minima
+        refresh per flush; ``bfs`` and ``matrix`` modes consult the
+        shared ball fields.  Trivial-(TRUE)-predicate queries always go
+        through the shared fields: the pool announces fresh nodes to the
+        substrate before insertion routing, so a brand-new attribute-less
+        node is already a pinned distance-0 source when this oracle runs
+        — the one case the eligible-set-based minima cannot anticipate.
 
         In ``interval`` mode the consult is two O(1) closure-membership
         tests per pattern edge: ``x`` reachable from an eligible source
@@ -1135,36 +1019,15 @@ class BoundedSimulationIndex:
         tolerated-deletion staleness of the underlying labelling only ever
         widens it.
         """
+        substrate = self._substrate()
         if self.distance_mode == "interval":
-            closures = self._ensure_reach_closures()
+            closures = self._reach_closures
             for edge in self._bounds:
                 src, tgt = closures[edge]
                 if src.contains(x) and tgt.contains(y):
                     return True
             return False
-        if (
-            self.distance_mode == "landmark"
-            and not self._routes_via_shared_fields()
-        ):
-            if self.substrate is not None:
-                minima = self.substrate.leg_minima()
-                for (u, u2), bound in self._bounds.items():
-                    r = _radius(bound)
-                    if minima.reaches_within(
-                        self.pattern.predicate(u), x, r
-                    ) and minima.reached_within(
-                        self.pattern.predicate(u2), y, r
-                    ):
-                        return True
-                return False
-            for (u, u2), bound in self._bounds.items():
-                r = _radius(bound)
-                if self._minima.reaches_within(
-                    u, x, r
-                ) and self._minima.reached_within(u2, y, r):
-                    return True
-            return False
-        if self.substrate is not None:
+        if self._routes_via_shared_fields():
             fields = self._ensure_shared_fields()
             for edge, bound in self._bounds.items():
                 r = _radius(bound)
@@ -1174,50 +1037,14 @@ class BoundedSimulationIndex:
                 if src.within(x, r) and tgt.within(y, r):
                     return True
             return False
-        return self._ensure_summary().can_affect(x, y)
-
-    def observe_deleted_edges(
-        self, edges: Iterable[Tuple[Node, Node]]
-    ) -> None:
-        """Absorb net deletions into the distance structures.
-
-        The pool calls this for **every** net deletion — routed or not —
-        after the shared graph is edited and before
-        :meth:`repair_deleted_edges`, so suspect rechecks see current
-        distances.  No pair-level work happens here.
-        """
-        edges = list(edges)
-        if not edges:
-            return
-        if self._lm is not None:
-            self._lm.apply_batch(deleted=edges)
-        if self._matrix is not None:
-            self._matrix_delete(edges)
-        if self._reach is not None and not self._reach_leased:
-            self._reach.notify_edges_deleted(len(edges))
-        if self._summary is not None:
-            self._summary.note_deleted(edges)
-
-    def observe_inserted_edges(
-        self, edges: Iterable[Tuple[Node, Node]]
-    ) -> None:
-        """Absorb net insertions into the distance structures.
-
-        Called after the shared graph is edited and *before* insertion
-        routing, so :meth:`can_affect_edge` reflects the whole batch.
-        """
-        edges = list(edges)
-        if not edges:
-            return
-        if self._lm is not None:
-            self._lm.apply_batch(inserted=edges)
-        if self._matrix is not None:
-            for x, y in edges:
-                self._matrix.apply_insert(x, y)
-        if self._reach is not None and not self._reach_leased:
-            self._reach.notify_edges_inserted(len(edges))
-        if self._summary is not None:
-            self._summary.note_inserted(edges)
+        minima = substrate.leg_minima()
+        for (u, u2), bound in self._bounds.items():
+            r = _radius(bound)
+            if minima.reaches_within(
+                self.pattern.predicate(u), x, r
+            ) and minima.reached_within(self.pattern.predicate(u2), y, r):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Shared-graph repair (MatcherPool plumbing)
@@ -1236,8 +1063,8 @@ class BoundedSimulationIndex:
         """IncBMatch- for edges already removed from the shared graph.
 
         Distance structures are **not** synced here — the pool feeds every
-        net deletion through :meth:`observe_deleted_edges` first (routed
-        edges are a subset, so syncing here would double-apply).
+        net deletion to the shared substrate first (routed edges are a
+        subset, so syncing here would double-apply).
         """
         if not prepared:
             return
@@ -1253,8 +1080,8 @@ class BoundedSimulationIndex:
         """IncBMatch+ for edges already present in the shared graph.
 
         Distance structures are **not** synced here — the pool feeds every
-        net insertion through :meth:`observe_inserted_edges` before
-        routing (so the oracle sees the whole batch).
+        net insertion to the shared substrate before routing (so the
+        oracle sees the whole batch).
         """
         edges = list(edges)
         if not edges:
@@ -1276,10 +1103,8 @@ class BoundedSimulationIndex:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Pair graph must mirror true bounded distances; inner invariants
-        must hold; the routing summary (if built) must stay a superset."""
+        must hold."""
         self._inner.check_invariants()
-        if self._summary is not None:
-            self._summary.check_superset_invariant()
         for (u, u2), bound in self._bounds.items():
             for a in self.eligible[u]:
                 ball = descendants_within(self.graph, a, bound)

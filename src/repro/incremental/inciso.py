@@ -160,13 +160,24 @@ class IsoIndex:
         return True
 
     def insert_edge(self, v: Node, w: Node) -> bool:
-        """Search for embeddings anchored on the new edge (v, w)."""
-        self.graph.add_node(v)
-        self.graph.add_node(w)
+        """Search for embeddings anchored on the new edge (v, w), and on
+        endpoints the edge brought into the graph."""
+        fresh = self._add_endpoints(v, w)
         if not self.graph.add_edge(v, w):
             return False
         self._search_anchored(v, w)
+        for node in fresh:
+            self._search_node(node)
         return True
+
+    def _add_endpoints(self, v: Node, w: Node) -> List[Node]:
+        """Add missing endpoints; return those new to the graph.  A fresh
+        node can host an embedding of an edge-less pattern component
+        (e.g. a lone ``TRUE`` node), which no edge anchor would find."""
+        fresh = [n for n in dict.fromkeys((v, w)) if n not in self.graph]
+        for n in fresh:
+            self.graph.add_node(n)
+        return fresh
 
     def _search_anchored(self, v: Node, w: Node) -> None:
         for u1, u2 in self.pattern.edges():
@@ -221,7 +232,11 @@ class IsoIndex:
                 if node == v and not self._satisfies(u, v, node_attrs):
                     self._discard(key)
                     break
-        # Anchor a search at every pattern node v could now play.
+        self._search_node(v)
+
+    def _search_node(self, v: Node) -> None:
+        """Anchor a search at every pattern node ``v`` can play."""
+        node_attrs = self.graph.attrs(v)
         for u in self.pattern.nodes():
             if not self._satisfies(u, v, node_attrs):
                 continue
@@ -281,19 +296,21 @@ class IsoIndex:
         """Deletions drop postings; insertions anchor-search afterwards."""
         updates = list(updates)
         inserted: List[EdgeKey] = []
+        fresh: List[Node] = []
         for upd in updates:
             if upd.op == "delete":
                 if self.graph.remove_edge(upd.source, upd.target):
                     for key in list(self._by_edge.get(upd.edge, ())):
                         self._discard(key)
             else:
-                self.graph.add_node(upd.source)
-                self.graph.add_node(upd.target)
+                fresh += self._add_endpoints(upd.source, upd.target)
                 if self.graph.add_edge(upd.source, upd.target):
                     inserted.append(upd.edge)
         for v, w in inserted:
             if self.graph.has_edge(v, w):
                 self._search_anchored(v, w)
+        for node in fresh:
+            self._search_node(node)
 
     # ------------------------------------------------------------------
     # Shared-graph repair (MatcherPool plumbing)

@@ -205,8 +205,8 @@ class SimulationIndex:
     def _register_node(self, v: Node) -> bool:
         """Wire a node's eligibility into candt/counters; True iff unseen.
 
-        Per-query mode evaluates the node's predicates once; shared mode
-        reads membership off the leased sets (the substrate evaluated each
+        A standalone index evaluates the node's predicates once; a leased
+        one reads membership off the leased sets (the substrate evaluated each
         distinct predicate once for the whole pool) and adopts layers the
         index has not wired yet.
         """
@@ -235,7 +235,7 @@ class SimulationIndex:
     def _adopted(self, u: PatternNode, v: Node) -> bool:
         """Has this index wired ``v`` into layer ``u``'s bookkeeping?
 
-        In per-query mode adoption coincides with eligibility membership;
+        With private sets adoption coincides with eligibility membership;
         with shared sets a member may predate this index's sight of it.
         """
         return v in self.match[u] or v in self.candt[u]
@@ -270,8 +270,8 @@ class SimulationIndex:
         every layer; phase 2 promotes the supported ones (a promotion's
         counter bumps then land on initialized keys).  Returns whether
         anything was promoted; promotions unlocked *across* the adopted
-        layers are the caller's trailing sweep's job, exactly as in the
-        per-query path.
+        layers are the caller's trailing sweep's job, exactly as with
+        private sets.
         """
         for u in layers:
             self.candt[u].add(v)

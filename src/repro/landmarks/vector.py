@@ -265,9 +265,8 @@ class EligibleLegMinima:
     the edges), precomputing ``min_e d(e, lm)`` and ``min_e d(lm, e)`` per
     landmark collapses the consult to a single O(|lm|) early-exit scan.
 
-    ``members_of`` maps opaque hashable keys to live member sets.  A
-    per-query :class:`~repro.incremental.incbsim.BoundedSimulationIndex`
-    keys by *pattern node* over its private eligible sets; the pool-level
+    ``members_of`` maps opaque hashable keys to live member sets.  The
+    pool-level
     :class:`~repro.engine.distances.SharedDistanceSubstrate` keys by
     **interned predicate** over the shared eligibility member sets — the
     cache entry is then effectively keyed ``(predicate, lm-version)``, so

@@ -34,9 +34,9 @@ class PredicateError(ValueError):
 
 
 # Global count of Predicate.satisfied_by applications: whole-predicate
-# evaluations, which the per-query eligibility scope pays per query.  The
-# pool-level eligibility substrate never pays them during a flush — it
-# evaluates atoms, counted below.
+# evaluations, which standalone indexes pay per index.  The pool-level
+# eligibility substrate never pays them during a flush — it evaluates
+# atoms, counted below.
 _EVALUATIONS = 0
 
 # Global count of Atom.satisfied_by applications.  The substrate's atom

@@ -103,17 +103,17 @@ def test_cli_list_and_single_figure(capsys):
     assert main(["--figure", "nope"]) == 2
 
 
-def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
-    """CI uploads BENCH_pool.json; pin its shape and the routing headline
-    (non-owning bounded queries decline the partitioned stream, so the
-    routed count must not grow with pool size)."""
+@pytest.fixture(scope="module")
+def tiny_bench_pool(tmp_path_factory):
+    """One tiny ``bench_pool.py`` run shared by the tests below: its exit
+    code and the ``BENCH_pool.json`` document it wrote."""
     import json
     import subprocess
     import sys
     from pathlib import Path
 
     script = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py"
-    out = tmp_path / "BENCH_pool.json"
+    out = tmp_path_factory.mktemp("bench") / "BENCH_pool.json"
     proc = subprocess.run(
         [
             sys.executable, str(script), "--tiny",
@@ -124,8 +124,16 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
         text=True,
         timeout=120,
     )
+    doc = json.loads(out.read_text()) if out.exists() else None
+    return proc, doc
+
+
+def test_bench_pool_tiny_emits_machine_readable_json(tiny_bench_pool):
+    """CI uploads BENCH_pool.json; pin its shape and the routing headline
+    (non-owning bounded queries decline the partitioned stream, so the
+    routed count must not grow with pool size)."""
+    proc, doc = tiny_bench_pool
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
     assert set(doc["scenarios"]) == {
         "simulation", "bounded", "bounded-shared", "overlap-atoms",
         "shared-plan", "reach-oracle", "kernels", "temporal",
@@ -149,16 +157,16 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     assert shared["results"]
     for row in shared["results"]:
         assert {
-            "n", "shared_ms", "per_query_ms",
-            "shared_upkeep", "per_query_upkeep",
+            "n", "shared_ms", "naive_ms",
+            "shared_upkeep", "naive_upkeep",
         } <= set(row)
-    # The substrate's headline: per-query structure syncs grow with N,
-    # shared syncs do not.
+    # The substrate's headline: the naive baseline's private structure
+    # upkeep grows with N, the shared substrate's does not.
     shared_upkeep = [r["shared_upkeep"] for r in shared["results"]]
-    per_query_upkeep = [r["per_query_upkeep"] for r in shared["results"]]
+    naive_upkeep = [r["naive_upkeep"] for r in shared["results"]]
     assert len(set(shared_upkeep)) == 1, shared_upkeep
-    assert per_query_upkeep == sorted(per_query_upkeep)
-    assert per_query_upkeep[-1] > per_query_upkeep[0]
+    assert naive_upkeep == sorted(naive_upkeep)
+    assert naive_upkeep[-1] > naive_upkeep[0]
     # The atom tier's headline: per-flush atom evaluations are EXACTLY
     # flat in N over the fixed atom vocabulary (the scenario itself
     # enforces it — exit code 0 above — but pin the JSON shape too).
@@ -166,16 +174,14 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     assert atoms["results"]
     for row in atoms["results"]:
         assert {
-            "n", "conjunctions", "shared_ms", "per_query_ms",
-            "shared_atom_evals", "per_query_atom_evals",
+            "n", "conjunctions", "shared_ms", "naive_ms",
+            "shared_atom_evals", "naive_atom_evals",
         } <= set(row)
     assert atoms["shared_exactly_flat"] is True
     shared_atom_evals = [r["shared_atom_evals"] for r in atoms["results"]]
     assert len(set(shared_atom_evals)) == 1, shared_atom_evals
-    per_query_atom_evals = [
-        r["per_query_atom_evals"] for r in atoms["results"]
-    ]
-    assert per_query_atom_evals[-1] > per_query_atom_evals[0]
+    naive_atom_evals = [r["naive_atom_evals"] for r in atoms["results"]]
+    assert naive_atom_evals[-1] > naive_atom_evals[0]
     # The substrate's own counter measures the same path: nonzero and
     # flat in N.
     substrate_evals = {
@@ -259,6 +265,65 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     assert len(set(batches)) == 1, batches
 
 
+# Every counter-backed gate of BENCH_pool.json, with a row counter it
+# reads: (scenario, gate, counter).  Gates the JSON does not carry as a
+# key are the flatness/growth headlines asserted by the test above.
+COUNTER_GATES = [
+    ("simulation", "routed flat in N", "routed"),
+    ("bounded", "route_work_flat", "route_work_per_flush"),
+    ("bounded-shared", "shared upkeep flat in N", "shared_upkeep"),
+    ("bounded-shared", "naive upkeep grows with N", "naive_upkeep"),
+    ("overlap-atoms", "shared_exactly_flat", "shared_atom_evals"),
+    ("overlap-atoms", "shared_exactly_flat", "shared_substrate_atom_evals"),
+    ("overlap-atoms", "naive atom evals grow with N", "naive_atom_evals"),
+    ("shared-plan", "view_repairs_flat", "view_repairs"),
+    ("reach-oracle", "consults_sublinear", "consults_per_update"),
+    ("temporal", "upkeep_flat", "structure_batches"),
+    # Zero rebuilds is the verdict; the gate is vacuous unless expiry ran.
+    ("temporal", "zero_expiry_rebuilds", "expired"),
+]
+# Gates decided by a timing race rather than a counter.
+TIMING_GATES = {
+    ("bounded", "growth_ok"),
+    ("shared-plan", "shared_wins"),
+    ("reach-oracle", "columnar_wins"),
+    ("kernels", "numpy_wins_bulk"),
+    ("kernels", "numpy_wins_interval"),
+    ("temporal", "bulk_expiry_wins"),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario,gate,counter", COUNTER_GATES,
+    ids=[f"{s}-{c}" for s, _, c in COUNTER_GATES],
+)
+def test_counter_gates_are_not_vacuous(tiny_bench_pool, scenario, gate, counter):
+    """A gate whose counter reads 0 at every size proves nothing: it
+    passes whether or not the path it claims to measure ever ran."""
+    _, doc = tiny_bench_pool
+    rows = doc["scenarios"][scenario]["results"]
+    assert rows and all(counter in row for row in rows), (scenario, counter)
+    assert any(row[counter] > 0 for row in rows), (
+        f"{scenario}: gate {gate!r} reads {counter}=0 at every size"
+    )
+
+
+def test_every_bench_gate_is_classified(tiny_bench_pool):
+    """Each gate verdict the JSON carries (a bool, or None when ungated at
+    this scale) is listed above as counter-backed or timing-backed, so a
+    new gate cannot skip the vacuity check."""
+    _, doc = tiny_bench_pool
+    counter_gates = {(s, g) for s, g, _ in COUNTER_GATES}
+    for name, scenario in doc["scenarios"].items():
+        for key, value in scenario.items():
+            if key in ("results", "skipped"):
+                continue
+            if value is None or isinstance(value, bool):
+                assert (name, key) in counter_gates | TIMING_GATES, (
+                    f"unclassified bench gate {name}.{key}"
+                )
+
+
 def test_compare_bench_trend_accumulates_over_history(tmp_path):
     """compare_bench --trend: each run appends a snapshot, seeding from
     the previous build's trend artifact, capped at --trend-cap."""
@@ -277,7 +342,7 @@ def test_compare_bench_trend_accumulates_over_history(tmp_path):
     curr.write_text(json.dumps({
         "scenarios": {
             "overlap": {"results": [
-                {"n": 4, "shared_ms": 1.0, "per_query_ms": 2.0},
+                {"n": 4, "shared_ms": 1.0, "naive_ms": 2.0},
             ]},
         },
     }))
@@ -293,7 +358,7 @@ def test_compare_bench_trend_accumulates_over_history(tmp_path):
     assert len(history) == 1
     assert history[0]["costs"] == {
         "overlap/n=4/shared_ms": 1.0,
-        "overlap/n=4/per_query_ms": 2.0,
+        "overlap/n=4/naive_ms": 2.0,
     }
 
     # Later build seeds from the downloaded previous trend.

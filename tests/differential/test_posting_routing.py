@@ -9,7 +9,7 @@ On **every edge of every flush**, at the exact moment the pool routes it
 (pre-edit for deletions, post-observe for insertions), the router's
 selection must equal the brute force over the whole routed population::
 
-    {q : q.routes_all_edges or q.touches_edge(...)
+    {q : q.touches_edge(v, w)
          or (q.distance_routed and q.can_affect_edge(v, w))}
 
 The op streams mix register/unregister churn (so fields lose their last
@@ -17,9 +17,8 @@ lease and are re-acquired as new objects), bounds drawn from
 ``{1, 2, 3, *}`` on shared predicates (so stratified fields re-cap up,
 down and to unbounded), label flips (eligibility gained and lost),
 ``TRUE``-predicate queries with fresh attribute-less endpoints, every
-distance mode, per-query distance scope (the one path that still
-consults per query) and ``plan_scope='shared'`` registrations whose leg
-views are router-registered.  Each stream runs on both graph backends,
+distance mode, and ``plan_scope='shared'`` registrations whose leg views
+are router-registered.  Each stream runs on both graph backends,
 and after every flush the substrate's invariants — posting exactness
 included — must hold.
 
@@ -68,17 +67,15 @@ def _registration(draw):
     return {
         "pattern": draw(_pattern()),
         "distance_mode": draw(st.sampled_from(MODES)),
-        "distance_scope": draw(st.sampled_from(["shared", "shared", "per-query"])),
         "plan_scope": draw(st.sampled_from(["per-query", "per-query", "shared"])),
     }
 
 
-def _brute_force(population, v, w, v_attrs, w_attrs):
+def _brute_force(population, v, w):
     return {
         id(q)
         for q in population
-        if q.routes_all_edges
-        or q.touches_edge(v_attrs, w_attrs, v, w)
+        if q.touches_edge(v, w)
         or (q.distance_routed and q.can_affect_edge(v, w))
     }
 
@@ -92,7 +89,7 @@ def _install_check(pool, log):
         population = [
             q for q in pool.queries() if not q.planned
         ] + pool.plan.views()
-        expect = _brute_force(population, v, w, v_attrs, w_attrs)
+        expect = _brute_force(population, v, w)
         got = route(v, w, v_attrs, w_attrs)
         assert len({id(q) for q in got}) == len(got), "duplicate routing"
         assert {id(q) for q in got} == expect, (
@@ -223,8 +220,8 @@ def test_last_lease_release_and_reacquire_reposts(backend, mode):
 
 
 def test_router_stats_count_leg_probes_and_consults():
-    """Field legs are probed through the postings; per-query scope and
-    oracle legs pay one consult per query / leg key per edge."""
+    """Field legs are probed through the postings; oracle legs pay one
+    consult per leg key per edge, however many queries hold the key."""
     g = DiGraph()
     for v, label in enumerate("ABC"):
         g.add_node(v, label=label)
@@ -244,11 +241,10 @@ def test_router_stats_count_leg_probes_and_consults():
     stats.reset()
     pool.apply([delete(1, 2)])
     assert (stats.leg_probes, stats.oracle_consults) == (1, 1)
-    pool.register(pattern, name="pq", distance_scope="per-query")
     stats.reset()
     pool.apply([insert(1, 2)])
-    assert (stats.leg_probes, stats.oracle_consults) == (1, 2)
+    assert (stats.leg_probes, stats.oracle_consults) == (1, 1)
     assert {q.name for q in pool.queries()} == {
-        "f0", "f1", "f2", "lm0", "lm1", "lm2", "pq"
+        "f0", "f1", "f2", "lm0", "lm1", "lm2"
     }
     assert all(q.matches()["x"] == {0} for q in pool.queries())

@@ -1,86 +1,89 @@
-"""Stateful differential fuzzer: shared substrates ≡ per-query ≡ batch.
+"""Stateful differential fuzzer: pool ≡ standalone indexes ≡ batch.
 
-Two :class:`~repro.engine.pool.MatcherPool` instances — one in
-``distance_scope='shared'`` (the pool-level
-:class:`~repro.engine.distances.SharedDistanceSubstrate`), one in
-``'per-query'`` (private distance structures, the fallback path) — are
-driven through the *same* seeded random op sequence: edge insert/delete
-churn, brand-new labelled nodes, attribute flips (label *and* numeric
-``score``) that gain/lose eligibility mid-stream — including for
-conjunction predicates like ``label = A & score > 1`` whose canonical
-interning the eligibility substrate relies on.  All conjunctions draw
-from one tiny shared atom vocabulary (3 label-eq × 3 score atoms), so
-distinct predicates overlap on atoms and the atom-tier posting sets are
-multiply leased; a few are trivially unsatisfiable (two different
-label-eq atoms) and must stay upkeep-free without perturbing sibling
-conjunctions on the same atoms.  The stream also wires attribute-less fresh
-nodes wired mid-flush, and query register/unregister mid-stream (which
-exercises substrate lease/release and structure drop/rebuild).  Queries
-mix all three semantics — mostly bounded (the distance substrate's
-clients) with simulation and isomorphism blended in — so every index
-family's shared-eligibility paths (flip adoption, withdrawal cascades,
-embedding re-anchoring) run under the same churn.
+A :class:`~repro.engine.pool.MatcherPool` — whose bounded queries lease
+the pool-level :class:`~repro.engine.distances.SharedDistanceSubstrate`
+and whose every query leases the
+:class:`~repro.engine.eligibility.SharedEligibilityIndex` — is driven
+through a seeded random op sequence: edge insert/delete churn, brand-new
+labelled nodes, attribute flips (label *and* numeric ``score``) that
+gain/lose eligibility mid-stream — including for conjunction predicates
+like ``label = A & score > 1`` whose canonical interning the eligibility
+substrate relies on.  All conjunctions draw from one tiny shared atom
+vocabulary (3 label-eq × 3 score atoms), so distinct predicates overlap
+on atoms and the atom-tier posting sets are multiply leased; a few are
+trivially unsatisfiable (two different label-eq atoms) and must stay
+upkeep-free without perturbing sibling conjunctions on the same atoms.
+The stream also wires attribute-less fresh nodes mid-flush, and
+registers/unregisters queries mid-stream (which exercises substrate
+lease/release and structure drop/rebuild).  Queries mix all three
+semantics — mostly bounded (the distance substrate's clients) with
+simulation and isomorphism blended in — so every index family's
+shared-eligibility paths (flip adoption, withdrawal cascades, embedding
+re-anchoring) run under the same churn.
 
-The sweep runs once per ``(distance mode × eligibility scope × graph
-backend × kernel mode)``: the shared-distance pool takes the
-parametrized ``eligibility_scope`` and ``graph backend`` while the
-per-query-distance pool takes the *opposite* of each, so all four
-(distance, eligibility) scope combinations are differentially exercised
-across the two scope values — and every sequence is simultaneously a
-dict ≡ columnar backend differential, because the two pools run the
-same op stream on opposite storage layouts and their graphs are
-asserted equal (via the backend-generic ``DiGraph.__eq__``) after every
-flush.  The ``REPRO_KERNELS`` sweep makes each of those sequences also
-a kernel differential: under ``numpy`` the columnar-backed pool runs
-the vectorized atom/BFS/condensation kernels while the dict-backed pool
-runs the pure-Python twins over the identical op stream, so the
-per-flush cross-pool equality checks gate numpy ≡ python equivalence
-end to end (under ``python`` both pools run the twins).  Distance modes
-cover all four structures, including the SCC-interval reachability
-oracle (``mode='interval'``).  After every flush, each registered
-query's match set under both pools must equal a from-scratch batch
-recomputation (:func:`~repro.matching.bounded.bounded_match`) on the
+The oracle is a second implementation that shares no pool code: one
+*standalone* index per registered query (``SimulationIndex``,
+``BoundedSimulationIndex`` or ``IsoIndex``, each owning its graph copy,
+private eligible sets and private distance structures), fed the same
+node events through ``update_node_attrs`` and the flush's net edge batch
+through ``apply_batch``.  The standalone indexes run on the *opposite*
+graph backend, so every sequence is also a dict ≡ columnar backend
+differential: the pool's graph and every oracle's graph are asserted
+equal (via the backend-generic ``DiGraph.__eq__``) after every flush.
+The ``REPRO_KERNELS`` sweep makes each sequence also a kernel
+differential: under ``numpy`` the columnar side runs the vectorized
+atom/BFS/condensation kernels while the dict side runs the pure-Python
+twins over the identical op stream, so the per-flush equality checks
+gate numpy ≡ python equivalence end to end (under ``python`` both sides
+run the twins).  The sweep runs once per ``(distance mode × plan scope
+× graph backend × kernel mode)``; ``plan_scope='shared'`` rewrites the
+plannable queries against the pool's multi-query plan, whose leg views
+lease the same substrates.  Distance modes cover all four structures,
+including the SCC-interval reachability oracle (``mode='interval'``).
+
+After every flush, each registered query's answer under the pool *and*
+its standalone oracle must equal a from-scratch batch recomputation
+(:func:`~repro.matching.bounded.bounded_match` and friends) on the
 current graph, and the eligibility member sets, ball fields, and leased
 minima must pass their exactness invariants.  ``check_oracles`` probes
-``can_affect_edge`` over every node pair at quiescence: exact for the
-radius-capped modes, and — after forcing a clean labelling — exact
-against the *reachability* ground truth for interval mode (whose
-routing answer is by design the radius-free over-approximation).
+``can_affect_edge`` of every distance-routed query and leg view over
+every node pair at quiescence: exact for the radius-capped modes, and —
+after forcing a clean labelling — exact against the *reachability*
+ground truth for interval mode (whose routing answer is by design the
+radius-free over-approximation).
 
 All randomness flows from ``random.Random`` seeds derived from a pinned
 base, so every failure message names the exact seed that replays it:
 
     SHARED_SUBSTRATE_SEQUENCES=1 PYTHONPATH=src python -m pytest \
-        "tests/differential/test_shared_substrate.py::test_shared_substrate_differential_fuzz[bfs-shared]"
+        "tests/differential/test_shared_substrate.py::test_shared_substrate_differential_fuzz[bfs-shared-dict-numpy]"
 
-then rerun ``_run_sequence(<seed>, "<mode>", "<eligibility scope>")``
+then rerun ``_run_sequence(<seed>, "<mode>", "<plan scope>", "<backend>")``
 from a REPL, or simply re-run the test — the sweep is deterministic end
 to end.  Scale with ``SHARED_SUBSTRATE_SEQUENCES`` (default 200 sequences
-per (distance mode × eligibility scope)).
+per parameter combination).
 
 Mutation-tested: the sweep (at its default scale) catches each of these
-bugs injected one at a time into the new eligibility substrate —
+bugs injected one at a time —
 (1) ``observe_attr_change`` forgetting to notify loss listeners (ball
 sources never unpin), (2) ``observe_attr_change`` reporting a loss flip
 without removing the member (set/report desync, caught by the member
 invariants), (3) ``route_flips`` dropping lost-only flips (demotions
 never routed), (4) incsim's shared-layer adoption skipping the
-support-counter init (KeyError / drift on later cascades), and (5) the
+support-counter init (KeyError / drift on later cascades), (5) the
 pool announcing fresh-node gains only *after* insertion routing
 (trivial-predicate balls lack the pinned distance-0 sources when the
 oracle rules on the very batch that wired them, so same-flush witness
-paths are declined), and (6) the atom tier's ``_reconcile`` deriving a
+paths are declined), (6) the atom tier's ``_reconcile`` deriving a
 conjunction's membership from its *first* atom's posting set alone
 (sibling atoms ignored — overlapping conjunctions diverge as soon as
-one shared atom flips while another still fails), and (7) the interval
-reachability oracle notified of insertions via ``notify_edges_deleted``
-(insert-staleness: new edges fall under the tolerated-deletion budget
-instead of forcing the rebuild, so the closures miss freshly created
-reachability and routing falsely declines edges — caught by the
-pre-rebuild soundness pass in ``check_oracles``, in both the
-substrate's ``observe_inserted`` and the per-query
-``observe_inserted_edges``).
-"""
+one shared atom flips while another still fails), and (7) the
+substrate's ``observe_inserted`` notifying the interval reachability
+oracle via ``notify_edges_deleted`` (insert-staleness: new edges fall
+under the tolerated-deletion budget instead of forcing the rebuild, so
+the closures miss freshly created reachability and routing falsely
+declines edges — caught by the pre-rebuild soundness pass in
+``check_oracles``)."""
 
 from __future__ import annotations
 
@@ -90,9 +93,11 @@ import random
 import pytest
 
 from repro.engine import MatcherPool
+from repro.engine.query import build_index
 from repro.graphs import kernels
+from repro.graphs.columnar import as_backend
 from repro.graphs.digraph import DiGraph
-from repro.incremental.types import delete, insert
+from repro.incremental.types import apply_batch, delete, insert
 from repro.matching.bounded import bounded_match
 from repro.matching.isomorphism import iter_embeddings
 from repro.matching.relation import as_pairs, totalize
@@ -101,7 +106,7 @@ from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
 
 MODES = ["bfs", "landmark", "matrix", "interval"]
-ELIGIBILITY_SCOPES = ["shared", "per-query"]
+PLAN_SCOPES = ["shared", "per-query"]
 GRAPH_BACKENDS = ["dict", "columnar"]
 KERNEL_MODES = (
     ["numpy", "python"] if kernels.numpy_available() else ["python"]
@@ -132,7 +137,8 @@ ATOM_VOCAB_SCORE = [Atom("score", op, 1) for op in (">", ">=", "<")]
 
 
 def _random_predicate(rng: random.Random) -> Predicate:
-    """~1 in 3 trivial (TRUE, routing-soundness is scope-dependent), else
+    """~1 in 3 trivial (TRUE, routable only through the fresh-node
+    announcement), else
     a conjunction over the small shared atom vocabulary — spelled in
     random conjunct order, so structurally-equal predicates exercise the
     canonical interning, and overlapping ones exercise atom-tier sharing.
@@ -169,40 +175,32 @@ def _random_pattern(rng: random.Random, normal: bool = False) -> Pattern:
 
 
 class _Harness:
-    """One differential run: two pools, one op stream, one oracle."""
+    """One differential run: a pool, its standalone oracles, one op
+    stream, and from-scratch ground truth."""
 
     def __init__(
         self,
         seed: int,
         mode: str,
-        escope: str = "shared",
+        plan_scope: str = "per-query",
         backend: str = "dict",
     ) -> None:
         self.rng = random.Random(seed)
         self.mode = mode
         base = _random_graph(self.rng)
-        other = "per-query" if escope == "shared" else "shared"
-        # The two pools always run on *opposite* graph backends, so every
-        # sequence is also a dict ≡ columnar differential: the graph
-        # equality in check() compares across backends, and every index
-        # family runs its whole op stream on both storage layouts.
+        self.pool = MatcherPool(
+            base.copy(), plan_scope=plan_scope, graph_backend=backend,
+        )
+        # The standalone oracles run on the *opposite* backend; the
+        # mirror graph is what a newly registered oracle copies.
         other_backend = "columnar" if backend == "dict" else "dict"
-        self.shared = MatcherPool(
-            base.copy(), distance_scope="shared", eligibility_scope=escope,
-            graph_backend=backend,
-        )
-        self.per_query = MatcherPool(
-            base.copy(), distance_scope="per-query", eligibility_scope=other,
-            graph_backend=other_backend,
-        )
+        self.mirror = as_backend(base.copy(), other_backend)
+        self.oracles = {}
         self.patterns = {}
         self._counter = 0
         self._next_node = 100
         for _ in range(self.rng.randint(1, 2)):
             self.register()
-
-    def pools(self):
-        return (self.shared, self.per_query)
 
     def register(self) -> None:
         """Mostly bounded queries (the distance substrate's clients), with
@@ -221,36 +219,37 @@ class _Harness:
             pattern = _random_pattern(self.rng, normal=True)
         name = f"q{self._counter}"
         self._counter += 1
-        for pool in self.pools():
-            pool.register(
-                pattern, semantics=semantics, name=name,
-                distance_mode=self.mode,
-            )
+        # Registration flushes pending ops first; nothing is pending here.
+        self.pool.register(
+            pattern, semantics=semantics, name=name, distance_mode=self.mode,
+        )
+        self.oracles[name] = build_index(
+            pattern, self.mirror.copy(), semantics, distance_mode=self.mode,
+        )
         self.patterns[name] = (semantics, pattern)
 
     def unregister(self) -> None:
         if len(self.patterns) <= 1:
             return
         name = self.rng.choice(sorted(self.patterns))
-        for pool in self.pools():
-            pool.unregister(pool.query(name))
+        self.pool.unregister(self.pool.query(name))
+        del self.oracles[name]
         del self.patterns[name]
 
     def step(self) -> None:
-        """Queue one random op batch into both pools, then flush both."""
+        """Queue one random op batch into the pool, flush it, and feed the
+        same node events and net edge batch to every standalone oracle."""
         rng = self.rng
-        nodes = sorted(self.shared.graph.nodes(), key=repr)
-        edges = sorted(self.shared.graph.edges(), key=repr)
+        pool = self.pool
+        nodes = sorted(pool.graph.nodes(), key=repr)
+        edges = sorted(pool.graph.edges(), key=repr)
+        node_ops = []
         for _ in range(rng.randint(0, 5)):
             roll = rng.random()
             if roll < 0.28 and edges:
-                e = rng.choice(edges)
-                for pool in self.pools():
-                    pool.queue(delete(*e))
+                pool.queue(delete(*rng.choice(edges)))
             elif roll < 0.60 and nodes:
-                v, w = rng.choice(nodes), rng.choice(nodes)
-                for pool in self.pools():
-                    pool.queue(insert(v, w))
+                pool.queue(insert(rng.choice(nodes), rng.choice(nodes)))
             elif roll < 0.75 and nodes:
                 # Wire a brand-new attribute-less node mid-flush: the case
                 # only the substrate's fresh-node announcement makes
@@ -259,15 +258,14 @@ class _Harness:
                 self._next_node += 1
                 if rng.random() < 0.5:
                     v, w = w, v
-                for pool in self.pools():
-                    pool.queue(insert(v, w))
+                pool.queue(insert(v, w))
             elif roll < 0.84:
                 v = self._next_node
                 self._next_node += 1
-                label = rng.choice(LABELS)
-                score = rng.choice(SCORES)
-                for pool in self.pools():
-                    pool.queue_node(v, label=label, score=score)
+                node_ops.append(
+                    (v, {"label": rng.choice(LABELS),
+                         "score": rng.choice(SCORES)})
+                )
             elif nodes:
                 # Attribute flip on an existing node: eligibility may be
                 # gained and lost, shrinking/growing member sets — a
@@ -279,53 +277,64 @@ class _Harness:
                     attrs["label"] = rng.choice(LABELS)
                 if rng.random() < 0.5 or not attrs:
                     attrs["score"] = rng.choice(SCORES)
-                for pool in self.pools():
-                    pool.queue_node(v, **attrs)
-        self.shared.flush()
-        self.per_query.flush()
+                node_ops.append((v, attrs))
+        for v, attrs in node_ops:
+            pool.queue_node(v, **attrs)
+        report = pool.flush()
+        # The pool applies node events (phase A) before the net edge
+        # batch; the oracles replay that order.
+        for v, attrs in node_ops:
+            self.mirror.add_node(v, **attrs)
+            for index in self.oracles.values():
+                index.update_node_attrs(v, **attrs)
+        apply_batch(self.mirror, report.net)
+        for index in self.oracles.values():
+            index.apply_batch(report.net)
 
     def check(self) -> None:
-        assert self.shared.graph == self.per_query.graph, "graph divergence"
+        graph = self.pool.graph
+        assert graph == self.mirror, "graph divergence"
         for name, (semantics, pattern) in sorted(self.patterns.items()):
+            oracle = self.oracles[name]
+            assert oracle.graph == graph, f"oracle graph divergence: {name}"
             if semantics == "isomorphism":
                 truth_embs = {
                     frozenset(e.items())
-                    for e in iter_embeddings(pattern, self.shared.graph)
+                    for e in iter_embeddings(pattern, graph)
                 }
-                for pool in self.pools():
-                    got = {
-                        frozenset(e.items())
-                        for e in pool.query(name).embeddings()
-                    }
+                for side, embs in (
+                    ("pool", self.pool.query(name).embeddings()),
+                    ("standalone", oracle.embeddings()),
+                ):
+                    got = {frozenset(e.items()) for e in embs}
                     assert got == truth_embs, (
-                        f"embedding mismatch for {name} "
-                        f"(scope={pool.distance_scope}): "
+                        f"{side} embedding mismatch for {name}: "
                         f"extra={got - truth_embs} "
                         f"missing={truth_embs - got}"
                     )
                 continue
             if semantics == "simulation":
-                truth = as_pairs(
-                    totalize(maximum_simulation(pattern, self.shared.graph))
-                )
+                truth = as_pairs(totalize(maximum_simulation(pattern, graph)))
             else:
-                truth = as_pairs(
-                    totalize(bounded_match(pattern, self.shared.graph))
+                truth = as_pairs(totalize(bounded_match(pattern, graph)))
+            for side, rel in (
+                ("pool", self.pool.query(name).matches()),
+                ("standalone", oracle.matches()),
+            ):
+                got = as_pairs(rel)
+                assert got == truth, (
+                    f"{side} mismatch for {name}: "
+                    f"extra={got - truth} missing={truth - got}"
                 )
-            got_shared = as_pairs(self.shared.query(name).matches())
-            got_per_query = as_pairs(self.per_query.query(name).matches())
-            assert got_shared == truth, (
-                f"shared-substrate mismatch for {name}: "
-                f"extra={got_shared - truth} missing={truth - got_shared}"
-            )
-            assert got_per_query == truth, (
-                f"per-query mismatch for {name}: "
-                f"extra={got_per_query - truth} "
-                f"missing={truth - got_per_query}"
-            )
-        for pool in self.pools():
-            pool.substrate.check_invariants()
-            pool.eligibility.check_invariants()
+        self.pool.substrate.check_invariants()
+        self.pool.eligibility.check_invariants()
+
+    def _routed_population(self):
+        """The pool queries the router decides over: unplanned queries
+        plus the shared plan's leg views."""
+        return [
+            q for q in self.pool.queries() if not q.planned
+        ] + self.pool.plan.views()
 
     def check_oracles(self) -> None:
         """At quiescence every distance-routed oracle must agree with the
@@ -339,7 +348,7 @@ class _Harness:
         """
         from repro.graphs.traversal import bfs_distances
 
-        graph = self.shared.graph
+        graph = self.pool.graph
         nodes = sorted(graph.nodes(), key=repr)
         fwd = {v: bfs_distances(graph, v) for v in nodes}
 
@@ -348,93 +357,85 @@ class _Harness:
             return d is not None and (r is None or d <= r)
 
         interval = self.mode == "interval"
-        for name, (semantics, pattern) in sorted(self.patterns.items()):
-            if semantics != "bounded":
+        for q in self._routed_population():
+            if not q.distance_routed:
                 continue
-            for pool in self.pools():
-                q = pool.query(name)
-                if not q.distance_routed:
-                    continue
-                idx = q.index
-                edges = [
-                    (u, u2, pattern.bound(u, u2)) for u, u2 in pattern.edges()
-                ]
-                if interval:
-                    # Soundness pass FIRST, against whatever labelling the
-                    # flush left behind: staleness may only ever widen the
-                    # answer (stale deletions err True), never narrow it —
-                    # a reachable pair the oracle calls False is a missed
-                    # repair.  This is the probe that catches an insertion
-                    # recorded in the wrong direction (bug 7 below): the
-                    # later exact pass would mask it behind its forced
-                    # rebuild.
-                    for x in nodes:
-                        for y in nodes:
-                            reach_truth = any(
-                                any(leg(a, x, None) for a in idx.eligible[u])
-                                and any(leg(y, c, None)
-                                        for c in idx.eligible[u2])
-                                for u, u2, b in edges
-                            )
-                            if reach_truth:
-                                assert idx.can_affect_edge(x, y), (
-                                    f"unsound interval routing for {name} "
-                                    f"(scope={pool.distance_scope}): "
-                                    f"can_affect_edge({x!r}, {y!r}) is "
-                                    f"False but the pair is reachable "
-                                    f"through eligible endpoints"
-                                )
-                    # Now force an exact labelling: reachable() rebuilds
-                    # when dirty, the closures recompute on the version
-                    # bump, and the equality pass below admits no slack.
-                    if nodes:
-                        reach = idx.reachability_index()
-                        if reach is not None:
-                            reach.reachable(nodes[0], nodes[0])
+            name, pattern, idx = q.name, q.pattern, q.index
+            edges = [
+                (u, u2, pattern.bound(u, u2)) for u, u2 in pattern.edges()
+            ]
+            if interval:
+                # Soundness pass FIRST, against whatever labelling the
+                # flush left behind: staleness may only ever widen the
+                # answer (stale deletions err True), never narrow it — a
+                # reachable pair the oracle calls False is a missed
+                # repair.  This is the probe that catches an insertion
+                # recorded in the wrong direction (bug 7 above): the
+                # later exact pass would mask it behind its forced
+                # rebuild.
                 for x in nodes:
                     for y in nodes:
-                        if interval:
-                            # Interval routing drops the radius caps: it
-                            # answers pure reachability, an over-
-                            # approximation of the bounded truth.
-                            truth = any(
-                                any(leg(a, x, None) for a in idx.eligible[u])
-                                and any(leg(y, c, None)
-                                        for c in idx.eligible[u2])
-                                for u, u2, b in edges
-                            )
-                        else:
-                            truth = any(
-                                any(leg(a, x, None if b is None else b - 1)
-                                    for a in idx.eligible[u])
-                                and any(leg(y, c, None if b is None else b - 1)
-                                        for c in idx.eligible[u2])
-                                for u, u2, b in edges
-                            )
-                        got = idx.can_affect_edge(x, y)
-                        assert got == truth, (
-                            f"oracle drift for {name} "
-                            f"(scope={pool.distance_scope}, "
-                            f"mode={self.mode}): "
-                            f"can_affect_edge({x!r}, {y!r}) = {got}, "
-                            f"ground truth {truth}"
+                        reach_truth = any(
+                            any(leg(a, x, None) for a in idx.eligible[u])
+                            and any(leg(y, c, None) for c in idx.eligible[u2])
+                            for u, u2, b in edges
                         )
+                        if reach_truth:
+                            assert q.can_affect_edge(x, y), (
+                                f"unsound interval routing for {name}: "
+                                f"can_affect_edge({x!r}, {y!r}) is False "
+                                f"but the pair is reachable through "
+                                f"eligible endpoints"
+                            )
+                # Now force an exact labelling: reachable() rebuilds when
+                # dirty, the closures recompute on the version bump, and
+                # the equality pass below admits no slack.
+                if nodes:
+                    reach = idx.reachability_index()
+                    if reach is not None:
+                        reach.reachable(nodes[0], nodes[0])
+            for x in nodes:
+                for y in nodes:
+                    if interval:
+                        # Interval routing drops the radius caps: it
+                        # answers pure reachability, an over-approximation
+                        # of the bounded truth.
+                        truth = any(
+                            any(leg(a, x, None) for a in idx.eligible[u])
+                            and any(leg(y, c, None) for c in idx.eligible[u2])
+                            for u, u2, b in edges
+                        )
+                    else:
+                        truth = any(
+                            any(leg(a, x, None if b is None else b - 1)
+                                for a in idx.eligible[u])
+                            and any(leg(y, c, None if b is None else b - 1)
+                                    for c in idx.eligible[u2])
+                            for u, u2, b in edges
+                        )
+                    got = q.can_affect_edge(x, y)
+                    assert got == truth, (
+                        f"oracle drift for {name} (mode={self.mode}): "
+                        f"can_affect_edge({x!r}, {y!r}) = {got}, "
+                        f"ground truth {truth}"
+                    )
 
     def check_deep(self) -> None:
         """Pair-graph / counter drift checks — pricier, run on a sample of
         steps (isomorphism indexes have no structural invariants)."""
-        for name in self.patterns:
-            for pool in self.pools():
-                index = pool.query(name).index
-                check = getattr(index, "check_invariants", None)
-                if check is not None:
-                    check()
+        indexes = [q.index for q in self.pool.queries()]
+        indexes += [q.index for q in self.pool.plan.views()]
+        indexes += list(self.oracles.values())
+        for index in indexes:
+            check = getattr(index, "check_invariants", None)
+            if check is not None:
+                check()
 
 
 def _run_sequence(
-    seed: int, mode: str, escope: str = "shared", backend: str = "dict"
+    seed: int, mode: str, plan_scope: str = "per-query", backend: str = "dict"
 ) -> None:
-    harness = _Harness(seed, mode, escope, backend)
+    harness = _Harness(seed, mode, plan_scope, backend)
     for step in range(FLUSHES):
         roll = harness.rng.random()
         if roll < 0.15:
@@ -450,23 +451,24 @@ def _run_sequence(
 
 @pytest.mark.parametrize("kernels_mode", KERNEL_MODES)
 @pytest.mark.parametrize("backend", GRAPH_BACKENDS)
-@pytest.mark.parametrize("escope", ELIGIBILITY_SCOPES)
+@pytest.mark.parametrize("plan_scope", PLAN_SCOPES)
 @pytest.mark.parametrize("mode", MODES)
 def test_shared_substrate_differential_fuzz(
-    mode, escope, backend, kernels_mode, monkeypatch
+    mode, plan_scope, backend, kernels_mode, monkeypatch
 ):
     monkeypatch.setenv("REPRO_KERNELS", kernels_mode)
     for i in range(SEQUENCES):
         seed = BASE_SEED * 1_000 + i
         try:
-            _run_sequence(seed, mode, escope, backend)
+            _run_sequence(seed, mode, plan_scope, backend)
         except AssertionError as exc:
             raise AssertionError(
                 f"differential fuzz failure: mode={mode!r} "
-                f"eligibility_scope={escope!r} backend={backend!r} "
+                f"plan_scope={plan_scope!r} backend={backend!r} "
                 f"kernels={kernels_mode!r} seed={seed} — replay with "
                 f"REPRO_KERNELS={kernels_mode} "
-                f"_run_sequence({seed}, {mode!r}, {escope!r}, {backend!r})"
+                f"_run_sequence({seed}, {mode!r}, {plan_scope!r}, "
+                f"{backend!r})"
             ) from exc
 
 
@@ -477,7 +479,7 @@ def test_unregister_drops_structures_and_reregister_rebuilds(mode):
     registration."""
     rng = random.Random(BASE_SEED)
     g = _random_graph(rng)
-    pool = MatcherPool(g, distance_scope="shared")
+    pool = MatcherPool(g)
     p = Pattern.from_spec(
         {"x": "label = A", "y": "label = B"}, [("x", "y", 2)]
     )

@@ -2,9 +2,10 @@
 independent shadow model ≡ from-scratch recompute.
 
 Two *windowed* :class:`~repro.engine.pool.MatcherPool` instances — one
-all-shared (distance + eligibility substrates, optionally the shared
-multi-query plan), one all-per-query — run the same seeded op stream on
-**opposite graph backends**: stamped inserts (default window, explicit
+on the dict backend with the parametrized ``plan_scope``, one on the
+columnar backend with the *opposite* ``plan_scope`` (so the shared
+multi-query plan and private per-query indexes are always pitted against
+each other) — run the same seeded op stream: stamped inserts (default window, explicit
 ``ts`` backdating, per-edge ``ttl`` overrides), explicit deletes, node
 attribute flips, clock advances, TTL'd query registration, and
 deliberate **expire→re-insert collisions** (an edge scheduled to expire
@@ -158,15 +159,14 @@ class _ChurnHarness:
         self.rng = random.Random(seed)
         self.mode = mode
         base = _random_graph(self.rng)
-        self.shared = MatcherPool(
+        other = "shared" if plan_scope == "per-query" else "per-query"
+        self.primary = MatcherPool(
             base.copy(), window=WINDOW,
-            distance_scope="shared", eligibility_scope="shared",
             plan_scope=plan_scope, graph_backend="dict",
         )
-        self.per_query = MatcherPool(
+        self.opposite = MatcherPool(
             base.copy(), window=WINDOW,
-            distance_scope="per-query", eligibility_scope="per-query",
-            graph_backend="columnar",
+            plan_scope=other, graph_backend="columnar",
         )
         self.shadow = _ShadowModel(base)
         self.t = 0.0
@@ -176,7 +176,7 @@ class _ChurnHarness:
             self.register()
 
     def pools(self):
-        return (self.shared, self.per_query)
+        return (self.primary, self.opposite)
 
     def register(self, ttl: Optional[float] = None) -> None:
         name = f"q{self._counter}"
@@ -203,9 +203,9 @@ class _ChurnHarness:
         node_ops: List[Tuple] = []
         edge_ops: List[Tuple] = []
         collisions: List[Tuple] = []
-        nodes = sorted(self.shared.graph.nodes(), key=repr)
-        edges = sorted(self.shared.graph.edges(), key=repr)
-        stamps = self.shared.live_edge_stamps()
+        nodes = sorted(self.primary.graph.nodes(), key=repr)
+        edges = sorted(self.primary.graph.edges(), key=repr)
+        stamps = self.primary.live_edge_stamps()
         doomed = sorted((e for e, (_b, x) in stamps.items() if x <= self.t),
                         key=repr)
         for _ in range(rng.randint(0, 5)):
@@ -244,7 +244,7 @@ class _ChurnHarness:
     def _check(self, reports, collisions) -> None:
         truth_graph = self.shadow.graph()
         for pool, report in zip(self.pools(), reports):
-            tag = pool.distance_scope
+            tag = f"plan_scope={pool.plan_scope}"
             assert pool.graph == truth_graph, (
                 f"{tag} graph diverged from the shadow model"
             )
@@ -269,7 +269,8 @@ class _ChurnHarness:
             for pool in self.pools():
                 got = as_pairs(pool.query(name).matches())
                 assert got == truth, (
-                    f"{pool.distance_scope} match mismatch for {name}: "
+                    f"plan_scope={pool.plan_scope} match mismatch for "
+                    f"{name}: "
                     f"extra={got - truth} missing={truth - got}"
                 )
         for pool in self.pools():

@@ -10,6 +10,7 @@ from repro.engine import (
 from repro.engine.distances import SharedDistanceSubstrate
 from repro.engine.eligibility import EligibleSet
 from repro.graphs.digraph import DiGraph
+from repro.incremental.incsim import SimulationIndex
 from repro.incremental.types import insert
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import parse_predicate
@@ -352,14 +353,20 @@ class TestPoolIntegration:
         assert q1.index.eligible["x"] is q2.index.eligible["x"]
         assert pool.eligibility.num_entries() == 2
 
-    def test_per_query_scope_keeps_private_sets(self):
+    def test_standalone_indexes_keep_private_sets(self):
+        """Indexes built outside a pool own and evaluate private eligible
+        sets (the differential suites' oracle), equal to the pool's
+        shared ones."""
         g = _graph()
-        pool = MatcherPool(g, eligibility_scope="per-query")
+        pool = MatcherPool(g.copy())
         p = Pattern.normal_from_labels({"x": "A", "y": "B"}, [("x", "y")])
-        q1 = pool.register(p, semantics="simulation", name="q1")
-        q2 = pool.register(p, semantics="simulation", name="q2")
-        assert q1.index.eligible["x"] is not q2.index.eligible["x"]
-        assert pool.eligibility.num_entries() == 0
+        shared = pool.register(p, semantics="simulation", name="q1")
+        i1 = SimulationIndex(p, g)
+        i2 = SimulationIndex(p, g)
+        assert i1.eligible["x"] is not i2.eligible["x"]
+        assert i1.eligible["x"] is not shared.index.eligible["x"]
+        assert i1.eligible == shared.index.eligible
+        assert pool.eligibility.num_entries() == 2
 
     def test_unregister_releases_leases(self):
         g = _graph()
@@ -392,15 +399,19 @@ class TestPoolIntegration:
         pool.eligibility.check_invariants()
 
     def test_scope_override_per_register(self):
+        """The shared sets are the only pool path: an eligibility-scope
+        override is rejected, and every query leases the shared sets."""
         g = _graph()
-        pool = MatcherPool(g, eligibility_scope="shared")
+        pool = MatcherPool(g)
         p = Pattern.normal_from_labels({"x": "A", "y": "B"}, [("x", "y")])
+        with pytest.raises(TypeError):
+            pool.register(
+                p, semantics="simulation", name="q2",
+                eligibility_scope="per-query",
+            )
         q1 = pool.register(p, semantics="simulation", name="q1")
-        q2 = pool.register(
-            p, semantics="simulation", name="q2",
-            eligibility_scope="per-query",
-        )
-        assert q1.shared_eligibility and not q2.shared_eligibility
+        q2 = pool.register(p, semantics="simulation", name="q2")
+        assert q1.index.eligible["x"] is q2.index.eligible["x"]
         # Both repair identically through a flip.
         pool.update_node_attrs(2, label="B")
         assert q1.matches() == q2.matches()

@@ -99,7 +99,7 @@ class TestLifecycle:
         q = pool.register(two_leg_pattern(), name="q0")
         assert isinstance(q, PlannedQuery)
         assert q.planned and not q.internal
-        assert not q.distance_routed and not q.routes_all_edges
+        assert not q.distance_routed
 
     def test_iso_falls_back_to_per_query(self):
         pool = shared_pool()

@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.graphs.digraph import DiGraph
-from repro.incremental.ballsummary import BallField, EligibleBallSummary
+from repro.incremental.ballsummary import BallField
 
 BASE_SEED = 0xBA11
 SWEEPS = int(os.environ.get("BALL_REPAIR_SWEEPS", "120"))
@@ -84,19 +84,25 @@ def test_shrink_equals_rebuild_over_random_sequences(reverse):
 
 
 def test_summary_repair_equals_rebuild_after_every_deletion_batch():
-    """The summary-level wrapper: after each deletion batch every field
-    equals a from-scratch rebuild (no threshold rebuild ever fires)."""
+    """A pattern edge's field pair — forward over the eligible sources,
+    reverse over the eligible targets, capped at ``bound - 1`` — equals a
+    from-scratch rebuild after each deletion batch (no rebuild fires)."""
     for i in range(max(1, SWEEPS // 2)):
         seed = BASE_SEED * 20_000 + i
         rng = random.Random(seed)
         n = rng.randint(3, 8)
         g = _random_graph(rng, n)
-        eligible = {
-            "x": {v for v in range(n) if g.attrs(v)["label"] == "A"},
-            "y": {v for v in range(n) if g.attrs(v)["label"] == "B"},
-        }
-        bounds = {("x", "y"): rng.choice([1, 2, 3, None])}
-        summary = EligibleBallSummary(g, bounds, eligible)
+        bound = rng.choice([1, 2, 3, None])
+        radius = None if bound is None else bound - 1
+        fields = [
+            BallField(
+                g,
+                {v for v in range(n) if g.attrs(v)["label"] == label},
+                radius,
+                reverse=reverse,
+            )
+            for label, reverse in (("A", False), ("B", True))
+        ]
         try:
             for _ in range(BATCHES):
                 edges = sorted(g.edges())
@@ -105,12 +111,13 @@ def test_summary_repair_equals_rebuild_after_every_deletion_batch():
                 dels = rng.sample(edges, min(len(edges), rng.randint(1, 3)))
                 for x, y in dels:
                     g.remove_edge(x, y)
-                summary.note_deleted(dels)
-                summary.check_exact_invariant()
-            assert summary.rebuilds == 1
+                for field in fields:
+                    field.shrink_edges(dels)
+                    field.check_exact()
+            assert all(field.rebuilds == 1 for field in fields)
         except AssertionError as exc:
             raise AssertionError(
-                f"summary repair drift: seed={seed}"
+                f"field pair repair drift: seed={seed}"
             ) from exc
 
 
