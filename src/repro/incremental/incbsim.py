@@ -12,6 +12,21 @@ exactly the paper's ss / cs / cc *pairs* (Table III).  An inner
 *simulation* over the pair graph — IncBMatch+/-/batch reduce to pair-level
 insertions and deletions fed to IncMatch+/-/batch.
 
+Public entry points and the paper's algorithms they run:
+
+- ``apply_batch`` — **IncBMatch**: balls on the pre-deletion graph, one
+  edit of the net batch, one pair-level IncMatch pass;
+- ``delete_edge`` / ``insert_edge`` — **IncBMatch-** / **IncBMatch+**:
+  IncBMatch on a one-update batch;
+- ``apply_batch_naive`` — the unit-at-a-time baseline;
+- ``add_node`` / ``update_node_attrs`` — node events: layers gained or
+  lost, repaired by ``apply_eligibility_flip_batch``.
+
+Every entry point shares one repair core: ``_repair`` for edges (which a
+pool calls through ``prepare_deleted_edges`` / ``repair_deleted_edges``
+/ ``repair_inserted_edges`` on a graph it edited itself) and
+``apply_eligibility_flip_batch`` for node events.
+
 What remains is distance maintenance: which pairs appear or disappear when
 a data edge changes.
 
@@ -79,8 +94,11 @@ from ..matching.simulation import candidate_sets
 from ..patterns.pattern import Bound, Pattern, PatternNode
 from ..patterns.predicate import Predicate
 from .delta import DeltaLog
-from .incsim import IncStats, SimulationIndex
-from .types import Update, delete as upd_delete, insert as upd_insert, net_updates
+from .incsim import IncStats, SimulationIndex, eligibility_flips
+from .types import (
+    Update, delete as upd_delete, edit_edges, insert as upd_insert, net_edges,
+    net_updates,
+)
 
 PatternEdge = Tuple[PatternNode, PatternNode]
 LAYER_ATTR = "__layer__"
@@ -146,9 +164,7 @@ class BoundedSimulationIndex:
         # set, the landmark index / matrix are leased rather than owned,
         # the routing-oracle ball fields are leased per (predicate,
         # radius, direction), and the *pool* keeps every shared structure
-        # in sync.  A substrate-backed index must therefore be driven
-        # through the pool's prepare/observe/repair entry points, not the
-        # raw insert_edge/delete_edge/apply_batch unit paths.
+        # in sync.
         self.substrate = substrate
         # A pool-level SharedEligibilityIndex (engine.eligibility): the
         # per-pattern-node eligible sets become leased read-views of one
@@ -184,7 +200,6 @@ class BoundedSimulationIndex:
         # leases both; a standalone one owns only the oracle (built lazily
         # for *-bound rechecks).
         self._reach: Optional[IntervalReachabilityIndex] = None
-        self._reach_leased = False
         self._reach_closures: Optional[
             Dict[PatternEdge, Tuple[ReachClosure, ReachClosure]]
         ] = None
@@ -222,7 +237,6 @@ class BoundedSimulationIndex:
             # *-bound suspect rechecks, so lease it even when the bounds
             # alone would not force distance routing.
             self._reach = substrate.lease_reachability()
-            self._reach_leased = True
             closures: Dict[PatternEdge, Tuple[ReachClosure, ReachClosure]] = {}
             for (u, u2) in self._bounds:
                 src_key = (pattern.predicate(u), False)
@@ -290,8 +304,8 @@ class BoundedSimulationIndex:
 
         Netting against the current pair graph before logging is
         behavior-preserving (the inner index nets internally anyway) and
-        keeps the exported delta exact: a pending-delete-plus-reinsert of
-        a surviving pair cancels out instead of being reported twice.
+        keeps the exported delta exact: a pair emitted by two inserted
+        edges is reported once.
         """
         if self._pair_delta is None:
             self._inner.apply_batch(pair_updates)
@@ -354,42 +368,24 @@ class BoundedSimulationIndex:
         return self._lm
 
     # ------------------------------------------------------------------
-    # Node registration
+    # Node events: IncBMatch on a one-node batch
     # ------------------------------------------------------------------
     def add_node(self, v: Node, **attrs) -> None:
-        self.graph.add_node(v, **attrs)
-        self._register_node(v)
+        """Add ``v`` (or merge ``attrs`` into it) and repair the match:
+        every gained or lost layer goes through
+        :meth:`apply_eligibility_flip_batch`.
 
-    def _register_node(self, v: Node) -> None:
-        if self._eligibility is not None:
-            # Shared sets: membership is already current (the substrate
-            # evaluated each distinct predicate once for the whole pool);
-            # adopt layers whose pair node this index has not wired yet.
-            for u in self.pattern.nodes():
-                if v in self.eligible[u] and not self._adopted(u, v):
-                    self._adopt(u, v)
-            return
-        attrs = self.graph.attrs(v)
-        for u in self.pattern.nodes():
-            if v in self.eligible[u]:
-                continue
-            if self.pattern.predicate(u).satisfied_by(attrs):
-                self.eligible[u].add(v)
-                self._adopt(u, v)
-
-    def _adopted(self, u: PatternNode, v: Node) -> bool:
-        """Has this index wired ``v`` into layer ``u``'s pair bookkeeping?
-
-        The inner index's eligible set is the marker (pair-graph node
-        presence alone would lie after a retire, which leaves the orphaned
-        pair node in the graph).  With private sets adoption coincides
-        with ``v in self.eligible[u]``; with shared sets a member may
-        predate this index's sight of it.
+        On leased sets this is the pool announcing a node whose edges it
+        has already routed and repaired, so gained layers are only
+        adopted (as for an edge endpoint).
         """
-        return (u, v) in self._inner.eligible[u]
-
-    def _adopt(self, u: PatternNode, v: Node) -> None:
-        self._inner.add_node((u, v), **{LAYER_ATTR: u})
+        self.graph.add_node(v, **attrs)
+        if self._eligibility is not None:
+            self._register_node(v)
+        else:
+            self.apply_eligibility_flip_batch(
+                [(v, *eligibility_flips(self, v))]
+            )
 
     def update_node_attrs(self, v: Node, **attrs) -> None:
         """Change ``v``'s attributes and repair the match.
@@ -405,46 +401,45 @@ class BoundedSimulationIndex:
                 "attribute changes as resolved flips "
                 "(apply_eligibility_flip_batch), driven by the pool"
             )
-        if v not in self.graph:
-            self.add_node(v, **attrs)
-            return
-        self.graph.add_node(v, **attrs)
-        node_attrs = self.graph.attrs(v)
-        gained: List[PatternNode] = []
-        lost: List[PatternNode] = []
-        for u in self.pattern.nodes():
-            ok = self.pattern.predicate(u).satisfied_by(node_attrs)
-            was = v in self.eligible[u]
-            if ok and not was:
-                gained.append(u)
-            elif not ok and was:
-                lost.append(u)
-        for u in lost:
-            self.eligible[u].remove(v)
-        for u in gained:
-            self.eligible[u].add(v)
-        self._apply_layer_flips(v, gained, lost)
+        self.add_node(v, **attrs)
+
+    def _register_node(self, v: Node) -> None:
+        """Adopt the layers an edge endpoint has gained; its pairs come
+        from the balls around the edges that brought it in."""
+        for u in eligibility_flips(self, v)[0]:
+            self._adopt(u, v)
+
+    def _adopted(self, u: PatternNode, v: Node) -> bool:
+        """Has this index wired ``v`` into layer ``u``'s pair bookkeeping?
+
+        The inner index's eligible set is the marker (pair-graph node
+        presence alone would lie after a retire, which leaves the orphaned
+        pair node in the graph).  With private sets adoption coincides
+        with ``v in self.eligible[u]`` until a node event updates the
+        sets; with shared sets a member may predate this index's sight
+        of it.
+        """
+        return (u, v) in self._inner.eligible[u]
+
+    def _adopt(self, u: PatternNode, v: Node) -> None:
+        self._inner.add_node((u, v), **{LAYER_ATTR: u})
 
     def apply_eligibility_flip_batch(
         self,
         events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
     ) -> None:
-        """Repair after the substrate flipped eligibility for a whole
-        flush's node events at once (sets already final, flips netted per
-        (predicate, node) by the pool).  The flipped predicates arrive
-        already resolved to pattern nodes, so no predicate is evaluated:
-        lost layers retire their pair nodes (with the usual pair-edge
-        cascade), gained layers materialize their pairs in both
-        directions.
+        """Repair after eligibility flipped for a batch of node events
+        (sets already final).  No predicate is evaluated: lost layers
+        retire their pair nodes (with the usual pair-edge cascade),
+        gained layers materialize their pairs in both directions.
 
         All losses across the batch retire first (their pair edges in one
         inner batch), then **all** gains adopt before any pair
-        materialization — the final shared sets may pair a gained node
-        with a node gained in a *different* same-batch event, so the
-        cross-event generalization of the single-event "register all
-        gained layers first" rule is required for the inner index to see
-        both endpoints.  Materialization consults only the final sets, so
-        the interleaved per-event order reaches the same pair graph.
+        materialization — the final sets may pair a gained node with a
+        node gained in a *different* event of the batch, and the inner
+        index must see both endpoints.  Materialization consults only the
+        final sets, so the interleaved per-event order reaches the same
+        pair graph.
         """
         events = [
             (
@@ -498,52 +493,6 @@ class BoundedSimulationIndex:
         if inserts:
             self._apply_pair_batch(inserts)
 
-    def _apply_layer_flips(
-        self, v: Node, gained: List[PatternNode], lost: List[PatternNode]
-    ) -> None:
-        """Pair-level repair for per-layer eligibility flips of ``v``.
-
-        Expects ``self.eligible`` to reflect the flips already and
-        ``gained``/``lost`` to name exactly the layers whose adoption state
-        must change.
-        """
-        pair_updates: List[Update] = []
-        for u in lost:
-            pv = (u, v)
-            for child in list(self._pair_graph.children(pv)):
-                pair_updates.append(upd_delete(pv, child))
-            for parent in list(self._pair_graph.parents(pv)):
-                pair_updates.append(upd_delete(parent, pv))
-        if pair_updates:
-            self._apply_pair_batch(pair_updates)
-        # Retire after the edges are gone so leaf-layer matches drop too.
-        for u in lost:
-            self._inner.retire_node((u, v))
-        if not gained:
-            return
-        inserts: List[Update] = []
-        # Register all gained layers first so pairs between two layers
-        # gained in the same call (e.g. via a pattern self-cycle) are seen.
-        for u in gained:
-            self._adopt(u, v)
-        for u in gained:
-            # Outgoing pairs: targets within bound of v, per edge from u.
-            for u2 in self.pattern.children(u):
-                bound = self._bounds[(u, u2)]
-                ball = descendants_within(self.graph, v, bound)
-                for c, d in ball.items():
-                    if c in self.eligible[u2] and (bound is None or d <= bound):
-                        inserts.append(upd_insert((u, v), (u2, c)))
-            # Incoming pairs: sources reaching v, per edge into u.
-            for u0 in self.pattern.parents(u):
-                bound = self._bounds[(u0, u)]
-                ball = ancestors_within(self.graph, v, bound)
-                for a, d in ball.items():
-                    if a in self.eligible[u0] and (bound is None or d <= bound):
-                        inserts.append(upd_insert((u0, a), (u, v)))
-        if inserts:
-            self._apply_pair_batch(inserts)
-
     # ------------------------------------------------------------------
     # Distance-structure maintenance helpers
     # ------------------------------------------------------------------
@@ -572,22 +521,11 @@ class BoundedSimulationIndex:
 
     def _pairs_created_by_insert(
         self,
-        x: Node,
-        y: Node,
         bins: Dict[Bound, Dict[Node, int]],
         bouts: Dict[Bound, Dict[Node, int]],
-        pending_deletes: Optional[Set[Tuple[Tuple, Tuple]]] = None,
     ) -> List[Update]:
-        """Pair insertions unlocked by data edge (x, y) — balls are on the
-        graph that already contains the edge.
-
-        ``pending_deletes`` holds pair edges scheduled for removal in the
-        same batch but not yet applied to the pair graph: a pair that is
-        still present *and* pending deletion must be re-emitted so the
-        deletion and the re-insertion cancel (the pair genuinely survives
-        the batch).
-        """
-        pending = pending_deletes or ()
+        """Pair insertions unlocked by an inserted data edge — balls
+        around it are on the graph that already contains the edge."""
         out: List[Update] = []
         for (u, u2), bound in self._bounds.items():
             bin_ball = bins[bound]
@@ -603,7 +541,7 @@ class BoundedSimulationIndex:
                     if bound is not None and da + 1 + bout_ball[c] > bound:
                         continue
                     pc = (u2, c)
-                    if not self._pair_graph.has_edge(pa, pc) or (pa, pc) in pending:
+                    if not self._pair_graph.has_edge(pa, pc):
                         out.append(upd_insert(pa, pc))
         return out
 
@@ -707,137 +645,54 @@ class BoundedSimulationIndex:
                     out.append(upd_delete((u, a), (u2, c)))
         return out
 
-    def _pairs_broken_by_delete(
-        self,
-        x: Node,
-        y: Node,
-        bins: Dict[Bound, Dict[Node, int]],
-        bouts: Dict[Bound, Dict[Node, int]],
-    ) -> List[Update]:
-        """Pair deletions caused by removing a single edge (x, y)."""
-        suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
-        self._collect_suspects(bins, bouts, suspects)
-        return self._recheck_suspects(suspects)
-
-    def _matrix_insert(self, x: Node, y: Node) -> None:
-        """Min-plus update of the all-pairs matrix for an inserted edge."""
-        assert self._matrix is not None
-        self._matrix.apply_insert(x, y)
-
-    def _matrix_delete(self, edges: List[Tuple[Node, Node]]) -> None:
-        assert self._matrix is not None
-        self._matrix.apply_deletions(edges)
-
     # ------------------------------------------------------------------
-    # IncBMatch+ / IncBMatch- : unit updates
+    # Edge updates: IncBMatch-, IncBMatch+, IncBMatch
     # ------------------------------------------------------------------
     def insert_edge(self, x: Node, y: Node) -> bool:
         """IncBMatch+: insert data edge (x, y) and repair the match."""
-        self.graph.add_node(x)
-        self.graph.add_node(y)
-        self._register_node(x)
-        self._register_node(y)
-        if not self.graph.add_edge(x, y):
-            return False
-        if self._lm is not None:
-            self._lm.insert_edge(x, y)
-        if self._matrix is not None:
-            self._matrix_insert(x, y)
-        if self._reach is not None and not self._reach_leased:
-            self._reach.notify_edges_inserted()
-        bins, bouts = self._balls_around(x, y)
-        pair_updates = self._pairs_created_by_insert(x, y, bins, bouts)
-        if pair_updates:
-            self._apply_pair_batch(pair_updates)
-        return True
+        return self.apply_batch([upd_insert(x, y)]) > 0
 
     def delete_edge(self, x: Node, y: Node) -> bool:
         """IncBMatch-: delete data edge (x, y) and repair the match."""
-        if not self.graph.has_edge(x, y):
-            return False
-        bins, bouts = self._balls_around(x, y)  # pre-deletion balls
-        self.graph.remove_edge(x, y)
-        if self._lm is not None:
-            self._lm.delete_edge(x, y)
-        if self._matrix is not None:
-            self._matrix_delete([(x, y)])
-        if self._reach is not None and not self._reach_leased:
-            self._reach.notify_edges_deleted()
-        pair_updates = self._pairs_broken_by_delete(x, y, bins, bouts)
-        if pair_updates:
-            self._apply_pair_batch(pair_updates)
-        return True
+        return self.apply_batch([upd_delete(x, y)]) > 0
 
-    # ------------------------------------------------------------------
-    # IncBMatch : batch updates
-    # ------------------------------------------------------------------
-    def apply_batch(self, updates: Iterable[Update]) -> None:
-        """IncBMatch: one deletion phase, one insertion phase, one pair-level
-        IncMatch pass (which itself applies minDelta at the pair level)."""
+    def apply_batch(self, updates: Iterable[Update]) -> int:
+        """IncBMatch: balls on the pre-deletion graph, one edit of the net
+        batch, then one pair-level IncMatch pass (which itself applies
+        minDelta at the pair level); returns the number of net edge
+        changes."""
         updates = list(updates)
+        deleted, inserted = net_edges(self.graph, updates)
         self.stats.original_updates += len(updates)
-        net = net_updates(self.graph, updates)
-        self.stats.reduced_updates += len(net)
-        deletions = [u for u in net if u.op == "delete"]
-        insertions = [u for u in net if u.op == "insert"]
-        pair_updates: List[Update] = []
-
-        # Phase D: balls on the pre-deletion graph, then edit, then recheck.
-        del_balls = [
-            (u.source, u.target, *self._balls_around(u.source, u.target))
-            for u in deletions
-        ]
-        for u in deletions:
-            self.graph.remove_edge(u.source, u.target)
-        if deletions:
-            if self._lm is not None:
-                self._lm.apply_batch(deleted=[u.edge for u in deletions])
-            if self._matrix is not None:
-                self._matrix_delete([u.edge for u in deletions])
-            if self._reach is not None and not self._reach_leased:
-                self._reach.notify_edges_deleted(len(deletions))
-        suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
-        for x, y, bins, bouts in del_balls:
-            self._collect_suspects(bins, bouts, suspects)
-        if suspects:
-            pair_updates.extend(self._recheck_suspects(suspects))
-
-        # Phase I: apply all insertions first so balls see the final graph.
-        for u in insertions:
-            self.graph.add_node(u.source)
-            self.graph.add_node(u.target)
-            self._register_node(u.source)
-            self._register_node(u.target)
-            self.graph.add_edge(u.source, u.target)
-        if insertions:
-            if self._lm is not None:
-                self._lm.apply_batch(inserted=[u.edge for u in insertions])
-            if self._matrix is not None:
-                for u in insertions:
-                    self._matrix.apply_insert(u.source, u.target)
-            if self._reach is not None and not self._reach_leased:
-                self._reach.notify_edges_inserted(len(insertions))
-        pending = {
-            (pu.source, pu.target) for pu in pair_updates if pu.op == "delete"
-        }
-        for u in insertions:
-            bins, bouts = self._balls_around(u.source, u.target)
-            pair_updates.extend(
-                self._pairs_created_by_insert(
-                    u.source, u.target, bins, bouts, pending_deletes=pending
-                )
-            )
-
-        if pair_updates:
-            self._apply_pair_batch(pair_updates)
+        self.stats.reduced_updates += len(deleted) + len(inserted)
+        prepared = self.prepare_deleted_edges(deleted)
+        edit_edges(self.graph, deleted, inserted)
+        self._sync_owned_distances(deleted, inserted)
+        self._repair(prepared, inserted)
+        return len(deleted) + len(inserted)
 
     def apply_batch_naive(self, updates: Iterable[Update]) -> None:
         """Unit-at-a-time processing (the IncBMatch_n-style baseline)."""
         for u in updates:
-            if u.op == "insert":
-                self.insert_edge(u.source, u.target)
-            else:
-                self.delete_edge(u.source, u.target)
+            self.apply_batch([u])
+
+    def _sync_owned_distances(self, deleted, inserted) -> None:
+        """Bring the distance structures this index owns up to the edited
+        graph; leased ones are the pool substrate's to sync."""
+        if self.substrate is not None or not (deleted or inserted):
+            return
+        if self._lm is not None:
+            self._lm.apply_batch(inserted=inserted, deleted=deleted)
+        if self._matrix is not None:
+            if deleted:
+                self._matrix.apply_deletions(deleted)
+            for x, y in inserted:
+                self._matrix.apply_insert(x, y)
+        if self._reach is not None:
+            if deleted:
+                self._reach.notify_edges_deleted(len(deleted))
+            if inserted:
+                self._reach.notify_edges_inserted(len(inserted))
 
     # ------------------------------------------------------------------
     # Distance-aware routing oracle (MatcherPool plumbing)
@@ -938,10 +793,9 @@ class BoundedSimulationIndex:
         for key in self._closure_keys:
             self.substrate.release_reach_closure(*key)
         self._closure_keys = []
-        if self._reach_leased:
+        if self._reach is not None:
             self.substrate.release_reachability()
             self._reach = None
-            self._reach_leased = False
         self._reach_closures = None
         # Detach so a stray consult on a released index cannot silently
         # re-lease substrate structures nobody will ever release again.
@@ -1060,40 +914,38 @@ class BoundedSimulationIndex:
         return [(x, y, *self._balls_around(x, y)) for x, y in edges]
 
     def repair_deleted_edges(self, prepared: List[Tuple]) -> None:
-        """IncBMatch- for edges already removed from the shared graph.
+        """IncBMatch- for edges already removed from a shared graph (the
+        pool syncs the shared distance structures first)."""
+        self._repair(prepared, [])
 
-        Distance structures are **not** synced here — the pool feeds every
-        net deletion to the shared substrate first (routed edges are a
-        subset, so syncing here would double-apply).
+    def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
+        """IncBMatch+ for edges already present in a shared graph (the
+        pool syncs the shared distance structures first)."""
+        self._repair([], list(edges))
+
+    def _repair(
+        self, prepared: List[Tuple], inserted: List[Tuple[Node, Node]]
+    ) -> None:
+        """IncBMatch over edges already edited in the graph, with distance
+        structures in sync: suspects of the deleted edges (from their
+        pre-deletion balls) are rechecked on the current graph, the balls
+        around each inserted edge yield the pairs it creates, and all pair
+        changes feed the inner index as one batch.
+
+        A suspect is deleted only if no path within bound survives in the
+        current graph, and a pair is created only if absent, so no pair
+        change of one side undoes one of the other.
         """
-        if not prepared:
-            return
+        for x, y in inserted:
+            self._register_node(x)
+            self._register_node(y)
         suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
         for _, _, bins, bouts in prepared:
             self._collect_suspects(bins, bouts, suspects)
-        if suspects:
-            pair_updates = self._recheck_suspects(suspects)
-            if pair_updates:
-                self._apply_pair_batch(pair_updates)
-
-    def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """IncBMatch+ for edges already present in the shared graph.
-
-        Distance structures are **not** synced here — the pool feeds every
-        net insertion to the shared substrate before routing (so the
-        oracle sees the whole batch).
-        """
-        edges = list(edges)
-        if not edges:
-            return
-        for x, y in edges:
-            self._register_node(x)
-            self._register_node(y)
-        pair_updates: List[Update] = []
-        for x, y in edges:
-            bins, bouts = self._balls_around(x, y)
+        pair_updates = self._recheck_suspects(suspects) if suspects else []
+        for x, y in inserted:
             pair_updates.extend(
-                self._pairs_created_by_insert(x, y, bins, bouts)
+                self._pairs_created_by_insert(*self._balls_around(x, y))
             )
         if pair_updates:
             self._apply_pair_batch(pair_updates)
@@ -1103,8 +955,21 @@ class BoundedSimulationIndex:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Pair graph must mirror true bounded distances; inner invariants
-        must hold."""
+        must hold.  Private eligible sets must equal predicate truth, each
+        wired into the inner index as its layer."""
         self._inner.check_invariants()
+        if self._eligibility is None:
+            for u in self.pattern.nodes():
+                pred = self.pattern.predicate(u)
+                truth = {
+                    v for v in self.graph.nodes()
+                    if pred.satisfied_by(self.graph.attrs(v))
+                }
+                wired = {v for (_, v) in self._inner.eligible[u]}
+                assert self.eligible[u] == truth == wired, (
+                    f"eligibility drift at {u}: "
+                    f"{(self.eligible[u] ^ truth) | (truth ^ wired)}"
+                )
         for (u, u2), bound in self._bounds.items():
             for a in self.eligible[u]:
                 ball = descendants_within(self.graph, a, bound)

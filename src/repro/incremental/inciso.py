@@ -13,6 +13,14 @@ that cannot have changed:
   the new data edge in turn and VF2 completes the mapping) — correct, but
   with the exponential worst case the theorem promises.
 
+Public entry points: ``apply_batch`` (the incremental IsoMat of the
+experiments: deletions drop postings, insertions anchor-search),
+``delete_edge`` / ``insert_edge`` (the same on a one-update batch) and
+``update_node_attrs`` (a node event).  They share one repair core:
+``repair_deleted_edges`` / ``repair_inserted_edges`` (which a pool calls
+on a graph it edited itself) for edges, and
+``apply_eligibility_flip_batch`` for node events.
+
 ``IsoIndex`` is the comparison point the experiments use to show why the
 simulation family is the practical choice on evolving graphs.
 """
@@ -25,7 +33,7 @@ from ..graphs.digraph import DiGraph, Node
 from ..matching.isomorphism import Embedding, iter_embeddings
 from ..patterns.pattern import Pattern, PatternError, PatternNode
 from .delta import DeltaLog
-from .types import Update
+from .types import Update, delete, edit_edges, insert, net_edges
 
 EdgeKey = Tuple[Node, Node]
 EmbKey = FrozenSet[Tuple[PatternNode, Node]]
@@ -85,13 +93,7 @@ class IsoIndex:
         self._embeddings: Dict[EmbKey, Embedding] = {}
         self._by_edge: Dict[EdgeKey, Set[EmbKey]] = {}
         self.delta = DeltaLog()
-        for emb in iter_embeddings(pattern, graph):
-            self._store(emb)
-            if (
-                max_embeddings is not None
-                and len(self._embeddings) >= max_embeddings
-            ):
-                break
+        self._collect(iter_embeddings(pattern, graph))
         # The initial embedding set is state, not change.
         self.delta.clear()
 
@@ -115,6 +117,18 @@ class IsoIndex:
         for edge in self._used_edges(emb):
             self._by_edge.setdefault(edge, set()).add(key)
         return True
+
+    def _collect(self, embeddings: Iterable[Embedding]) -> bool:
+        """Store ``embeddings`` up to the ``max_embeddings`` cap; returns
+        whether the cap is reached."""
+        cap = self.max_embeddings
+        if cap is not None and len(self._embeddings) >= cap:
+            return True
+        for emb in embeddings:
+            self._store(emb)
+            if cap is not None and len(self._embeddings) >= cap:
+                return True
+        return False
 
     def _discard(self, key: EmbKey) -> None:
         emb = self._embeddings.pop(key, None)
@@ -149,172 +163,39 @@ class IsoIndex:
         )
 
     # ------------------------------------------------------------------
-    # Incremental updates
+    # Edge updates
     # ------------------------------------------------------------------
     def delete_edge(self, v: Node, w: Node) -> bool:
         """Drop the embeddings whose image used (v, w)."""
-        if not self.graph.remove_edge(v, w):
-            return False
-        for key in list(self._by_edge.get((v, w), ())):
-            self._discard(key)
-        return True
+        return self.apply_batch([delete(v, w)]) > 0
 
     def insert_edge(self, v: Node, w: Node) -> bool:
         """Search for embeddings anchored on the new edge (v, w), and on
         endpoints the edge brought into the graph."""
-        fresh = self._add_endpoints(v, w)
-        if not self.graph.add_edge(v, w):
-            return False
-        self._search_anchored(v, w)
-        for node in fresh:
-            self._search_node(node)
-        return True
+        return self.apply_batch([insert(v, w)]) > 0
 
-    def _add_endpoints(self, v: Node, w: Node) -> List[Node]:
-        """Add missing endpoints; return those new to the graph.  A fresh
-        node can host an embedding of an edge-less pattern component
-        (e.g. a lone ``TRUE`` node), which no edge anchor would find."""
-        fresh = [n for n in dict.fromkeys((v, w)) if n not in self.graph]
-        for n in fresh:
-            self.graph.add_node(n)
-        return fresh
+    def apply_batch(self, updates: Iterable[Update]) -> int:
+        """Deletions drop postings; insertions anchor-search afterwards;
+        returns the number of net edge changes.
 
-    def _search_anchored(self, v: Node, w: Node) -> None:
-        for u1, u2 in self.pattern.edges():
-            if (
-                self.max_embeddings is not None
-                and len(self._embeddings) >= self.max_embeddings
-            ):
-                return
-            if u1 == u2:
-                if v != w:
-                    continue  # a self-loop pattern edge needs a data self-loop
-                seed: Embedding = {u1: v}
-            else:
-                if v == w:
-                    continue  # injectivity forbids mapping two nodes to one
-                seed = {u1: v, u2: w}
-            for emb in self._anchored(seed):
-                self._store(emb)
-                if (
-                    self.max_embeddings is not None
-                    and len(self._embeddings) >= self.max_embeddings
-                ):
-                    return
-
-    def _anchored(self, seed: Embedding):
-        """Embeddings extending ``seed`` in the full graph; a leased index
-        seeds the search with its shared eligible sets."""
-        return iter_embeddings(
-            self.pattern, self.graph, partial=seed, candidates=self._cands
+        An endpoint new to the graph is searched at every pattern node it
+        can play: it can host an embedding of an edge-less pattern
+        component (e.g. a lone ``TRUE`` node), which no edge anchor would
+        find.
+        """
+        deleted, inserted = net_edges(self.graph, updates)
+        fresh = [
+            n for n in dict.fromkeys(n for e in inserted for n in e)
+            if n not in self.graph
+        ]
+        edit_edges(self.graph, deleted, inserted)
+        self.repair_deleted_edges(deleted)
+        self.repair_inserted_edges(inserted)
+        self.apply_eligibility_flip_batch(
+            [(n, self._satisfied(n), []) for n in fresh]
         )
+        return len(deleted) + len(inserted)
 
-    def _satisfies(self, u: PatternNode, v: Node, attrs) -> bool:
-        """Predicate verdict for ``v`` at pattern node ``u`` — a shared
-        member-set lookup when leased, a predicate evaluation otherwise."""
-        if self._eligibility is not None:
-            return v in self._cands[u]
-        return self.pattern.predicate(u).satisfied_by(attrs)
-
-    def update_node_attrs(self, v: Node, **attrs) -> None:
-        """Change ``v``'s attributes and repair the embedding set.
-
-        Embeddings whose image of some pattern node no longer satisfies its
-        predicate are dropped; fresh embeddings that map a pattern node to
-        ``v`` are found by anchored search on ``v``.
-        """
-        self.graph.add_node(v, **attrs)
-        node_attrs = self.graph.attrs(v)
-        # Drop embeddings that stop satisfying a predicate at v.
-        for key in list(self._embeddings):
-            emb = self._embeddings[key]
-            for u, node in emb.items():
-                if node == v and not self._satisfies(u, v, node_attrs):
-                    self._discard(key)
-                    break
-        self._search_node(v)
-
-    def _search_node(self, v: Node) -> None:
-        """Anchor a search at every pattern node ``v`` can play."""
-        node_attrs = self.graph.attrs(v)
-        for u in self.pattern.nodes():
-            if not self._satisfies(u, v, node_attrs):
-                continue
-            for emb in self._anchored({u: v}):
-                self._store(emb)
-                if (
-                    self.max_embeddings is not None
-                    and len(self._embeddings) >= self.max_embeddings
-                ):
-                    return
-
-    def apply_eligibility_flip_batch(
-        self,
-        events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
-    ) -> None:
-        """Repair after the substrate flipped eligibility for a whole
-        flush's node events at once (sets already final, flips netted).
-
-        A lost layer invalidates exactly the embeddings mapping that
-        pattern node to the node; a gained layer can only create
-        embeddings that map it there.  Layers whose verdict did not flip
-        need no work: the graph's edges are unchanged, so their
-        embeddings through the node are unchanged.  One scan drops every
-        embedding invalidated by any loss in the batch, then each gain
-        anchor-searches — against the final graph and final shared sets,
-        so per-event interleaving is immaterial (anchored search reads
-        only current truth).
-        """
-        lost_pairs = {
-            (u, v) for v, _gained, lost in events for u in lost
-        }
-        if lost_pairs:
-            for key in list(self._embeddings):
-                emb = self._embeddings[key]
-                if any(emb.get(u) == v for u, v in lost_pairs):
-                    self._discard(key)
-        for v, gained, _lost in events:
-            for u in gained:
-                for emb in self._anchored({u: v}):
-                    self._store(emb)
-                    if (
-                        self.max_embeddings is not None
-                        and len(self._embeddings) >= self.max_embeddings
-                    ):
-                        return
-
-    def release(self) -> None:
-        """Release shared-eligibility leases (pool unregister); idempotent."""
-        if self._eligibility is None:
-            return
-        for u in self.pattern.nodes():
-            self._eligibility.release(self.pattern.predicate(u))
-        self._eligibility = None
-        self._cands = None
-
-    def apply_batch(self, updates: Iterable[Update]) -> None:
-        """Deletions drop postings; insertions anchor-search afterwards."""
-        updates = list(updates)
-        inserted: List[EdgeKey] = []
-        fresh: List[Node] = []
-        for upd in updates:
-            if upd.op == "delete":
-                if self.graph.remove_edge(upd.source, upd.target):
-                    for key in list(self._by_edge.get(upd.edge, ())):
-                        self._discard(key)
-            else:
-                fresh += self._add_endpoints(upd.source, upd.target)
-                if self.graph.add_edge(upd.source, upd.target):
-                    inserted.append(upd.edge)
-        for v, w in inserted:
-            if self.graph.has_edge(v, w):
-                self._search_anchored(v, w)
-        for node in fresh:
-            self._search_node(node)
-
-    # ------------------------------------------------------------------
-    # Shared-graph repair (MatcherPool plumbing)
-    # ------------------------------------------------------------------
     def repair_deleted_edges(self, edges: Iterable[EdgeKey]) -> None:
         """Drop posting lists for edges already removed from the graph."""
         for edge in edges:
@@ -326,6 +207,99 @@ class IsoIndex:
         for v, w in edges:
             if self.graph.has_edge(v, w):
                 self._search_anchored(v, w)
+
+    def _search_anchored(self, v: Node, w: Node) -> None:
+        """Embeddings that use edge (v, w): each pattern edge is pinned to
+        it in turn and the search completes the mapping."""
+        graph = self._search_graph(v, w)
+        for u1, u2 in self.pattern.edges():
+            if u1 == u2:
+                if v != w:
+                    continue  # a self-loop pattern edge needs a data self-loop
+                seed: Embedding = {u1: v}
+            elif v == w:
+                continue  # injectivity forbids mapping two nodes to one
+            else:
+                seed = {u1: v, u2: w}
+            if self._collect(self._anchored(seed, graph)):
+                return
+
+    def _search_graph(self, v: Node, w: Node) -> DiGraph:
+        """The graph anchored search around edge (v, w) runs on."""
+        return self.graph
+
+    def _anchored(self, seed: Embedding, graph: DiGraph):
+        """Embeddings extending ``seed`` in ``graph``; a leased index
+        seeds the search with its shared eligible sets."""
+        return iter_embeddings(
+            self.pattern, graph, partial=seed, candidates=self._cands
+        )
+
+    # ------------------------------------------------------------------
+    # Node events
+    # ------------------------------------------------------------------
+    def _satisfied(self, v: Node) -> List[PatternNode]:
+        """Pattern nodes whose predicate ``v`` satisfies — shared
+        member-set lookups when leased, predicate evaluations otherwise."""
+        if self._cands is not None:
+            return [u for u in self.pattern.nodes() if v in self._cands[u]]
+        attrs = self.graph.attrs(v)
+        return [
+            u for u in self.pattern.nodes()
+            if self.pattern.predicate(u).satisfied_by(attrs)
+        ]
+
+    def update_node_attrs(self, v: Node, **attrs) -> None:
+        """Change ``v``'s attributes and repair the embedding set.
+
+        Embeddings whose image of some pattern node no longer satisfies its
+        predicate are dropped; fresh embeddings that map a pattern node to
+        ``v`` are found by anchored search on ``v``.
+        """
+        self.graph.add_node(v, **attrs)
+        ok = self._satisfied(v)
+        self.apply_eligibility_flip_batch(
+            [(v, ok, [u for u in self.pattern.nodes() if u not in ok])]
+        )
+
+    def apply_eligibility_flip_batch(
+        self,
+        events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
+    ) -> None:
+        """Repair after eligibility flipped for a batch of node events
+        (sets already final).
+
+        A lost layer invalidates exactly the embeddings mapping that
+        pattern node to the node; a gained layer can only create
+        embeddings that map it there.  Layers whose verdict did not flip
+        need no work: the graph's edges are unchanged, so their
+        embeddings through the node are unchanged.  One scan drops every
+        embedding invalidated by any loss in the batch, then each gain
+        anchor-searches — against the final graph and final sets, so
+        per-event interleaving is immaterial (anchored search reads only
+        current truth).
+        """
+        lost_pairs = {
+            (u, v) for v, _gained, lost in events for u in lost
+        }
+        if lost_pairs:
+            for key in list(self._embeddings):
+                emb = self._embeddings[key]
+                if any(emb.get(u) == v for u, v in lost_pairs):
+                    self._discard(key)
+        for v, gained, _lost in events:
+            for u in gained:
+                if self._collect(self._anchored({u: v}, self.graph)):
+                    return
+
+    def release(self) -> None:
+        """Release shared-eligibility leases (pool unregister); idempotent."""
+        if self._eligibility is None:
+            return
+        for u in self.pattern.nodes():
+            self._eligibility.release(self.pattern.predicate(u))
+        self._eligibility = None
+        self._cands = None
 
 
 class LocalizedIsoIndex(IsoIndex):
@@ -351,27 +325,7 @@ class LocalizedIsoIndex(IsoIndex):
         self.radius = radius
         super().__init__(pattern, graph, max_embeddings=max_embeddings)
 
-    def _search_anchored(self, v, w):
-        ball = _undirected_ball(self.graph, (v, w), self.radius)
-        local = self.graph.subgraph(ball)
-        for u1, u2 in self.pattern.edges():
-            if (
-                self.max_embeddings is not None
-                and len(self._embeddings) >= self.max_embeddings
-            ):
-                return
-            if u1 == u2:
-                if v != w:
-                    continue
-                seed = {u1: v}
-            else:
-                if v == w:
-                    continue
-                seed = {u1: v, u2: w}
-            for emb in iter_embeddings(self.pattern, local, partial=seed):
-                self._store(emb)
-                if (
-                    self.max_embeddings is not None
-                    and len(self._embeddings) >= self.max_embeddings
-                ):
-                    return
+    def _search_graph(self, v, w):
+        return self.graph.subgraph(
+            _undirected_ball(self.graph, (v, w), self.radius)
+        )

@@ -6,21 +6,26 @@ structures of the paper — ``match()``, ``candt()``, and per-(pattern-edge,
 node) support counters (the "local information": how many children of a
 candidate currently match the target pattern node).
 
-Algorithms implemented on top of the counters:
+Public entry points and the paper's algorithms they run:
 
-- ``delete_edge``  — **IncMatch-** (unit deletion, general patterns,
-  O(|AFF|)): deleting an ss edge may zero a support counter; demotions
-  cascade to graph parents.
-- ``insert_edge``  — **IncMatch+dag** (worklist promotion, complete for DAG
-  patterns) and **IncMatch+** (general patterns: the worklist plays
-  ``propCS``, and a bottom-up pass over the pattern condensation performs
-  the coinductive ``propCC`` refinement of Fig. 9).
 - ``apply_batch``  — **IncMatch** (batch updates): the ``minDelta``
-  reduction cancels and drops irrelevant updates, all edits are applied to
-  the counters at once, then one demotion cascade and one promotion pass
-  run.
+  reduction cancels same-edge updates, all edits reach the counters at
+  once, then one demotion cascade and one promotion pass run;
+- ``delete_edge``  — **IncMatch-**: IncMatch on a one-deletion batch
+  (a zeroed support counter demotes; demotions cascade to parents);
+- ``insert_edge``  — **IncMatch+**: IncMatch on a one-insertion batch
+  (the worklist plays ``propCS``, complete for DAG patterns —
+  **IncMatch+dag** — and a bottom-up pass over the pattern condensation
+  performs the coinductive ``propCC`` refinement of Fig. 9);
 - ``apply_batch_naive`` — **IncMatch_n**, the paper's naive baseline that
-  feeds unit updates one at a time.
+  feeds unit updates one at a time;
+- ``add_node`` / ``update_node_attrs`` — node events: eligibility gained
+  or lost per pattern node, repaired by ``apply_eligibility_flip_batch``.
+
+Every entry point shares one repair core: ``_repair`` for edges (which a
+pool calls through ``repair_deleted_edges`` / ``repair_inserted_edges``
+on a graph it edited itself) and ``apply_eligibility_flip_batch`` for
+node events.
 
 The central invariant (checked by the test suite): a predicate-eligible
 node is in ``match(u)`` iff every outgoing pattern edge has support
@@ -38,7 +43,7 @@ from ..patterns.pattern import Pattern, PatternError, PatternNode
 from ..matching.relation import MatchRelation, copy_relation, totalize
 from ..matching.simulation import candidate_sets, maximum_simulation
 from .delta import DeltaLog
-from .types import Update, net_updates
+from .types import Update, edit_edges, net_edges, net_updates
 
 PatternEdge = Tuple[PatternNode, PatternNode]
 CntKey = Tuple[PatternNode, PatternNode, Node]
@@ -54,7 +59,6 @@ class IncStats:
         "candidates_examined",
         "original_updates",
         "reduced_updates",
-        "skipped_updates",
     )
 
     def __init__(self) -> None:
@@ -67,10 +71,36 @@ class IncStats:
         self.candidates_examined = 0
         self.original_updates = 0
         self.reduced_updates = 0
-        self.skipped_updates = 0
 
     def aff_size(self) -> int:
         return self.promotions + self.demotions + self.counter_updates
+
+
+def eligibility_flips(
+    index, v: Node
+) -> Tuple[List[PatternNode], List[PatternNode]]:
+    """The pattern nodes ``v`` must be adopted into and withdrawn from.
+
+    ``index`` is a :class:`SimulationIndex` or a bounded index.  With
+    private eligible sets, ``v``'s predicates are evaluated here and the
+    sets updated; leased sets are kept current by the pool's substrate.
+    """
+    attrs = index.graph.attrs(v) if index._eligibility is None else None
+    gained: List[PatternNode] = []
+    lost: List[PatternNode] = []
+    for u in index.pattern.nodes():
+        members = index.eligible[u]
+        if attrs is not None:
+            if index.pattern.predicate(u).satisfied_by(attrs):
+                members.add(v)
+            else:
+                members.discard(v)
+        if v in members:
+            if not index._adopted(u, v):
+                gained.append(u)
+        elif index._adopted(u, v):
+            lost.append(u)
+    return gained, lost
 
 
 class SimulationIndex:
@@ -135,8 +165,8 @@ class SimulationIndex:
         else:
             eligible = candidate_sets(self.pattern, self.graph)
         self.eligible: MatchRelation = eligible
-        # Nodes whose predicates have been evaluated; registration of a
-        # known node is a no-op unless add_node refreshes its attributes.
+        # Nodes whose eligibility has been read; an inserted edge's
+        # endpoint outside this set is adopted before repair.
         self._registered = set(self.graph.nodes())
         self.match: MatchRelation = maximum_simulation(
             self.pattern, self.graph, candidates=copy_relation(eligible)
@@ -185,111 +215,18 @@ class SimulationIndex:
         return self._cnt.get((u, u2, v), 0)
 
     # ------------------------------------------------------------------
-    # Node registration (updates may reference fresh nodes)
+    # Node events: IncMatch on a one-node batch
     # ------------------------------------------------------------------
     def add_node(self, v: Node, **attrs) -> None:
-        """Register a (possibly new) node, re-evaluating its predicates.
+        """Add ``v`` (or merge ``attrs`` into it) and repair the match.
 
-        If the node was already wired into the graph and its fresh
-        attributes create matches, a full promotion pass propagates them.
+        The node's eligibility is re-read — from its predicates on
+        private sets, from the leased sets otherwise — and every gained
+        or lost pattern node goes through
+        :meth:`apply_eligibility_flip_batch`.
         """
         self.graph.add_node(v, **attrs)
-        before = self.stats.promotions
-        self._registered.discard(v)  # attributes may have changed
-        self._register_node(v)
-        if self.stats.promotions > before and (
-            self.graph.parents(v) or self.graph.children(v)
-        ):
-            self._promote_sweep()
-
-    def _register_node(self, v: Node) -> bool:
-        """Wire a node's eligibility into candt/counters; True iff unseen.
-
-        A standalone index evaluates the node's predicates once; a leased
-        one reads membership off the leased sets (the substrate evaluated each
-        distinct predicate once for the whole pool) and adopts layers the
-        index has not wired yet.
-        """
-        if v in self._registered:
-            return False
-        self._registered.add(v)
-        if self._eligibility is not None:
-            self._adopt_layers(
-                v,
-                [
-                    u
-                    for u in self.pattern.nodes()
-                    if v in self.eligible[u] and not self._adopted(u, v)
-                ],
-            )
-            return True
-        attrs = self.graph.attrs(v)
-        for u in self.pattern.nodes():
-            if v in self.eligible[u]:
-                continue
-            if self.pattern.predicate(u).satisfied_by(attrs):
-                self.eligible[u].add(v)
-                self._adopt_candidate(u, v)
-        return True
-
-    def _adopted(self, u: PatternNode, v: Node) -> bool:
-        """Has this index wired ``v`` into layer ``u``'s bookkeeping?
-
-        With private sets adoption coincides with eligibility membership;
-        with shared sets a member may predate this index's sight of it.
-        """
-        return v in self.match[u] or v in self.candt[u]
-
-    def _adopt_candidate(self, u: PatternNode, v: Node) -> bool:
-        """Add an eligible node to candt, compute its counters, and promote
-        it immediately when every obligation is already met (a node
-        matching a childless pattern node is a match right away;
-        _promote_node also fixes up its parents' counters).  Returns
-        whether it was promoted."""
-        self.candt[u].add(v)
-        supported = True
-        for u2 in self.pattern.children(u):
-            c = 0
-            for w in self.graph.children(v):
-                if w in self.match[u2]:
-                    c += 1
-            self._cnt[(u, u2, v)] = c
-            if c == 0:
-                supported = False
-        if supported:
-            self._promote_node(u, v)
-        return supported
-
-    def _adopt_layers(self, v: Node, layers: List[PatternNode]) -> bool:
-        """Two-phase adoption of ``v`` into several layers at once.
-
-        With shared eligible sets every gained layer's membership is
-        already visible, so a promotion during layer A's adoption walks
-        parent counters that mention layer B — all counters must exist
-        before any promotion runs.  Phase 1 wires candt and counters for
-        every layer; phase 2 promotes the supported ones (a promotion's
-        counter bumps then land on initialized keys).  Returns whether
-        anything was promoted; promotions unlocked *across* the adopted
-        layers are the caller's trailing sweep's job, exactly as with
-        private sets.
-        """
-        for u in layers:
-            self.candt[u].add(v)
-            for u2 in self.pattern.children(u):
-                c = 0
-                for w in self.graph.children(v):
-                    if w in self.match[u2]:
-                        c += 1
-                self._cnt[(u, u2, v)] = c
-        promoted = False
-        for u in layers:
-            if v in self.candt[u] and all(
-                self._cnt[(u, u2, v)] >= 1
-                for u2 in self.pattern.children(u)
-            ):
-                self._promote_node(u, v)
-                promoted = True
-        return promoted
+        self.apply_eligibility_flip_batch([(v, *eligibility_flips(self, v))])
 
     def update_node_attrs(self, v: Node, **attrs) -> None:
         """Change ``v``'s attributes and repair the match.
@@ -306,96 +243,95 @@ class SimulationIndex:
                 "changes as resolved flips (apply_eligibility_flip_batch), "
                 "driven by the pool"
             )
-        if v not in self.graph:
-            self.add_node(v, **attrs)
-            return
-        self.graph.add_node(v, **attrs)
-        self._registered.add(v)
-        node_attrs = self.graph.attrs(v)
-        gained = []
-        queue: Deque[Tuple[PatternNode, Node]] = deque()
-        for u in self.pattern.nodes():
-            ok = self.pattern.predicate(u).satisfied_by(node_attrs)
-            if ok and v not in self.eligible[u]:
-                gained.append(u)
-            elif not ok and v in self.eligible[u]:
-                self._withdraw(u, v, queue)
-        self._demote_cascade(queue)
-        promoted = False
-        for u in gained:
-            self.eligible[u].add(v)
-            if self._adopt_candidate(u, v):
-                promoted = True
-        if gained and (promoted or self._has_cycles):
-            # New candidacy can unlock further promotions (or coinductive
-            # SCC promotions); one sweep settles everything.
-            self._promote_sweep()
+        self.add_node(v, **attrs)
+
+    def _adopted(self, u: PatternNode, v: Node) -> bool:
+        """Has this index wired ``v`` into layer ``u``'s bookkeeping?
+
+        With private sets adoption coincides with eligibility membership
+        until a node event updates the sets; with shared sets a member
+        may predate this index's sight of it.
+        """
+        return v in self.match[u] or v in self.candt[u]
+
+    def _adopt(
+        self, adoptions: List[Tuple[Node, List[PatternNode]]]
+    ) -> Tuple[List[Tuple[PatternNode, Node]], bool]:
+        """Wire newly eligible ``(node, layers)`` into candt and promote
+        the supported ones.
+
+        Counters for **every** adopted pair are computed before any
+        promotion runs: a promotion bumps the counter of each eligible
+        parent, which may itself be adopted here.  Returns the closing
+        promotion pass's input — the candidate parents of promoted nodes,
+        and whether an adopted node with neighbours may close a
+        coinductive SCC cycle.
+        """
+        for v, layers in adoptions:
+            for u in layers:
+                self.candt[u].add(v)
+                for u2 in self.pattern.children(u):
+                    target = self.match[u2]
+                    self._cnt[(u, u2, v)] = sum(
+                        1 for w in self.graph.children(v) if w in target
+                    )
+        seeds: List[Tuple[PatternNode, Node]] = []
+        sweep = False
+        for v, layers in adoptions:
+            for u in layers:
+                if v in self.candt[u] and all(
+                    self._cnt[(u, u2, v)] >= 1
+                    for u2 in self.pattern.children(u)
+                ):
+                    self._promote_node(u, v)
+                    seeds.extend(
+                        (u0, p)
+                        for u0 in self.pattern.parents(u)
+                        for p in self.graph.parents(v)
+                        if p in self.candt[u0]
+                    )
+            if self._has_cycles and (
+                self.graph.parents(v) or self.graph.children(v)
+            ):
+                sweep = True
+        return seeds, sweep
 
     def apply_eligibility_flip_batch(
         self,
         events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
     ) -> None:
-        """Repair after the substrate flipped eligibility for a whole
-        flush's node events at once (one ``(node, gained layers, lost
-        layers)`` triple per event; sets already final, flips netted per
-        (predicate, node) by the pool).
+        """Repair after eligibility flipped for a batch of node events
+        (one ``(node, gained layers, lost layers)`` triple per event; the
+        eligible sets are already final).
 
-        Counter wiring must complete for **every** gained (layer, node)
-        pair across the batch before any promotion or demotion runs: the
-        final shared sets may already contain same-batch gains, and both
-        :meth:`_promote_node`'s counter bumps and the demote cascade
-        index the counter of any eligible parent.  So the batch runs in
-        phases — (1) wire candt and support counters for all gains,
-        (2) promote the supported gains, (3) withdraw all losses into one
-        demote cascade, (4) one closing promotion sweep.
-
-        Gains are adopted *before* the losses cascade because a demotion
-        cascade reaching a gained node through a graph cycle reads the
-        shared sets to find its support counters, so they must exist by
-        then.  The order is otherwise immaterial: demotions never enable
-        a promotion, so the closing sweep reaches the same fixpoint a
-        lost-then-gained order does.  The flipped predicates arrive
-        already resolved to pattern nodes (by
-        :meth:`ContinuousQuery.apply_eligibility_flip_batch`), so no
-        predicate is evaluated here.
+        Gains are adopted first (:meth:`_adopt`), because a demotion
+        cascade reaching a gained node through a graph cycle reads its
+        support counters.  Then all losses are withdrawn into one
+        demotion cascade, and one promotion pass closes.  Demotions never
+        enable a promotion, so this reaches the same fixpoint as a
+        lost-then-gained order.  No predicate is evaluated here.
         """
         adoptions: List[Tuple[Node, List[PatternNode]]] = []
         for v, gained, _lost in events:
             self._registered.add(v)
             adopt = [u for u in gained if not self._adopted(u, v)]
             if adopt:
-                for u in adopt:
-                    self.candt[u].add(v)
-                    for u2 in self.pattern.children(u):
-                        c = 0
-                        for w in self.graph.children(v):
-                            if w in self.match[u2]:
-                                c += 1
-                        self._cnt[(u, u2, v)] = c
                 adoptions.append((v, adopt))
-        promoted = False
-        for v, adopt in adoptions:
-            for u in adopt:
-                if v in self.candt[u] and all(
-                    self._cnt[(u, u2, v)] >= 1
-                    for u2 in self.pattern.children(u)
-                ):
-                    self._promote_node(u, v)
-                    promoted = True
+        seeds, sweep = self._adopt(adoptions)
         queue: Deque[Tuple[PatternNode, Node]] = deque()
         for v, _gained, lost in events:
             for u in lost:
                 if self._adopted(u, v):
-                    self._withdraw(u, v, queue, mutate_eligible=False)
+                    self._withdraw(u, v, queue)
         self._demote_cascade(queue)
-        if adoptions and (promoted or self._has_cycles):
-            self._promote_sweep()
+        self._promote_pass(seeds, sweep)
 
     def retire_node(self, v: Node) -> None:
         """Forcibly drop ``v`` from every eligible set (with cascades).
 
         Used by the bounded-simulation layer to retire pair-graph nodes;
-        also handy when a node is being deleted from the data graph.
+        also handy when a node is being deleted from the data graph.  The
+        node counts as unregistered until :meth:`add_node` brings it back.
         Unavailable on shared eligible sets (they mirror predicate truth,
         which retirement would falsify for every other leaseholder).
         """
@@ -403,54 +339,137 @@ class SimulationIndex:
             raise RuntimeError(
                 "cannot retire nodes from shared eligible sets"
             )
-        queue: Deque[Tuple[PatternNode, Node]] = deque()
-        for u in self.pattern.nodes():
-            if v in self.eligible[u]:
-                self._withdraw(u, v, queue)
-        self._demote_cascade(queue)
+        lost = [u for u in self.pattern.nodes() if v in self.eligible[u]]
+        for u in lost:
+            self.eligible[u].remove(v)
+        self.apply_eligibility_flip_batch([(v, [], lost)])
+        self._registered.discard(v)
 
-    def _withdraw(
-        self, u: PatternNode, v: Node, queue, mutate_eligible: bool = True
-    ) -> None:
-        """Remove ``v`` from ``u``'s candt/match sets (and, unless the
-        eligible set is substrate-owned and already updated, from
-        eligible), seeding the demote queue with parents that lose
+    def _withdraw(self, u: PatternNode, v: Node, queue) -> None:
+        """Remove ``v`` from ``u``'s candt/match sets (its eligible set is
+        already updated), seeding the demote queue with parents that lose
         support."""
         if v in self.match[u]:
-            self.match[u].remove(v)
-            self.delta.remove((u, v))
-            self.stats.demotions += 1
-            for u0 in self.pattern.parents(u):
-                for p in self.graph.parents(v):
-                    if p in self.eligible[u0]:
-                        key = (u0, u, p)
-                        self._cnt[key] -= 1
-                        self.stats.counter_updates += 1
-                        if self._cnt[key] == 0 and p in self.match[u0]:
-                            queue.append((u0, p))
+            self._demote(u, v, queue)
         self.candt[u].discard(v)
-        if mutate_eligible:
-            self.eligible[u].remove(v)
         for u2 in self.pattern.children(u):
             self._cnt.pop((u, u2, v), None)
 
     # ------------------------------------------------------------------
-    # IncMatch-: unit deletion
+    # Edge updates: IncMatch-, IncMatch+, IncMatch, IncMatch_n
     # ------------------------------------------------------------------
     def delete_edge(self, v: Node, w: Node) -> bool:
-        """Delete data edge (v, w) and repair the match (IncMatch-)."""
+        """IncMatch-: delete data edge (v, w) and repair the match — the
+        repair of a one-deletion batch."""
         if not self.graph.remove_edge(v, w):
             return False
-        queue: Deque[Tuple[PatternNode, Node]] = deque()
-        for u, u2 in self.pattern.edges():
-            if v in self.eligible[u] and w in self.match[u2]:
-                key = (u, u2, v)
-                self._cnt[key] -= 1
-                self.stats.counter_updates += 1
-                if self._cnt[key] == 0 and v in self.match[u]:
-                    queue.append((u, v))
-        self._demote_cascade(queue)
+        self._repair([(v, w)], [])
         return True
+
+    def insert_edge(self, v: Node, w: Node) -> bool:
+        """IncMatch+: insert data edge (v, w) and repair the match — the
+        repair of a one-insertion batch."""
+        if not self.graph.add_edge(v, w):
+            return False
+        self._repair([], [(v, w)])
+        return True
+
+    def apply_batch(self, updates: Iterable[Update]) -> int:
+        """IncMatch: minDelta, then one repair of the net batch; returns
+        the number of net edge changes."""
+        updates = list(updates)
+        deleted, inserted = net_edges(self.graph, updates)
+        self.stats.original_updates += len(updates)
+        self.stats.reduced_updates += len(deleted) + len(inserted)
+        edit_edges(self.graph, deleted, inserted)
+        self._repair(deleted, inserted)
+        return len(deleted) + len(inserted)
+
+    def apply_batch_naive(self, updates: Iterable[Update]) -> None:
+        """IncMatch_n: process unit updates one at a time (the baseline)."""
+        for upd in updates:
+            if upd.op == "insert":
+                self.insert_edge(upd.source, upd.target)
+            else:
+                self.delete_edge(upd.source, upd.target)
+
+    def repair_deleted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
+        """IncMatch- for edges already removed from a shared graph."""
+        self._repair(list(edges), [])
+
+    def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
+        """IncMatch+ for edges already present in a shared graph."""
+        self._repair([], list(edges))
+
+    def _repair(
+        self,
+        deleted: List[Tuple[Node, Node]],
+        inserted: List[Tuple[Node, Node]],
+    ) -> None:
+        """IncMatch for edges already edited in the graph: every counter
+        update first, then one demotion cascade, then one promotion pass.
+
+        Endpoints this index has never registered are adopted with
+        counters computed against the current graph (all batch edges
+        included), so only edges between registered endpoints take the
+        per-edge bookkeeping.  The cs and cc-in-SCC touches of that
+        bookkeeping are the promotion triggers of Prop. 5.2.
+        """
+        queue: Deque[Tuple[PatternNode, Node]] = deque()
+        for v, w in deleted:
+            for u, u2 in self.pattern.edges():
+                if v in self.eligible[u] and w in self.match[u2]:
+                    key = (u, u2, v)
+                    self._cnt[key] -= 1
+                    self.stats.counter_updates += 1
+                    if self._cnt[key] == 0 and v in self.match[u]:
+                        queue.append((u, v))
+        seeds: List[Tuple[PatternNode, Node]] = []
+        sweep = False
+        fresh = dict.fromkeys(
+            [n for e in inserted for n in e if n not in self._registered]
+        )
+        if fresh:
+            self._registered.update(fresh)
+            adoptions: List[Tuple[Node, List[PatternNode]]] = []
+            for n in fresh:
+                gained, _lost = eligibility_flips(self, n)
+                if gained:
+                    adoptions.append((n, gained))
+            seeds, sweep = self._adopt(adoptions)
+        for v, w in inserted:
+            if v in fresh or w in fresh:
+                continue
+            for u, u2 in self.pattern.edges():
+                if v not in self.eligible[u]:
+                    continue
+                if w in self.match[u2]:
+                    self._cnt[(u, u2, v)] += 1
+                    self.stats.counter_updates += 1
+                    if v in self.candt[u]:
+                        seeds.append((u, v))
+                elif (
+                    w in self.candt[u2]
+                    and v in self.candt[u]
+                    and (u, u2) in self._scc_edges
+                ):
+                    sweep = True
+        self._demote_cascade(queue)
+        self._promote_pass(seeds, sweep)
+
+    def _demote(self, u: PatternNode, v: Node, queue) -> None:
+        """Drop ``v`` from ``match(u)``, queueing parents left unsupported."""
+        self.match[u].remove(v)
+        self.delta.remove((u, v))
+        self.stats.demotions += 1
+        for u0 in self.pattern.parents(u):
+            for p in self.graph.parents(v):
+                if p in self.eligible[u0]:
+                    key = (u0, u, p)
+                    self._cnt[key] -= 1
+                    self.stats.counter_updates += 1
+                    if self._cnt[key] == 0 and p in self.match[u0]:
+                        queue.append((u0, p))
 
     def _demote_cascade(self, queue: Deque[Tuple[PatternNode, Node]]) -> None:
         while queue:
@@ -461,63 +480,19 @@ class SimulationIndex:
                 self._cnt[(u, u2, v)] >= 1 for u2 in self.pattern.children(u)
             ):
                 continue  # support restored meanwhile
-            self.match[u].remove(v)
+            self._demote(u, v, queue)
             self.candt[u].add(v)
-            self.delta.remove((u, v))
-            self.stats.demotions += 1
-            for u0 in self.pattern.parents(u):
-                for p in self.graph.parents(v):
-                    if p in self.eligible[u0]:
-                        key = (u0, u, p)
-                        self._cnt[key] -= 1
-                        self.stats.counter_updates += 1
-                        if self._cnt[key] == 0 and p in self.match[u0]:
-                            queue.append((u0, p))
 
-    # ------------------------------------------------------------------
-    # IncMatch+ / IncMatch+dag: unit insertion
-    # ------------------------------------------------------------------
-    def insert_edge(self, v: Node, w: Node) -> bool:
-        """Insert data edge (v, w) and repair the match (IncMatch+)."""
-        self.graph.add_node(v)
-        self.graph.add_node(w)
-        self._register_node(v)
-        self._register_node(w)
-        if not self.graph.add_edge(v, w):
-            return False
-        needs_worklist, needs_scc = self._insert_bookkeeping(v, w)
-        if needs_scc or (needs_worklist and self._has_cycles):
-            # Cyclic patterns: worklist promotions may unlock coinductive
-            # SCC promotions, so run the full propCS+propCC sweep.
+    def _promote_pass(
+        self, seeds: List[Tuple[PatternNode, Node]], sweep: bool
+    ) -> None:
+        """The closing promotion pass: propCS from ``seeds`` (complete on
+        its own for DAG patterns, IncMatch+dag), or the full propCS +
+        propCC sweep when a coinductive SCC promotion may be due."""
+        if sweep or (seeds and self._has_cycles):
             self._promote_sweep()
-        elif needs_worklist:
-            seeds = [
-                (u, v)
-                for u, u2 in self.pattern.edges()
-                if v in self.candt[u] and w in self.match[u2]
-            ]
+        elif seeds:
             self._promote_worklist(deque(seeds))
-        return True
-
-    def _insert_bookkeeping(self, v: Node, w: Node) -> Tuple[bool, bool]:
-        """Counter updates for a fresh edge; returns (cs touched, cc-in-SCC
-        touched) — the triggers of Prop. 5.2."""
-        cs_touched = False
-        cc_scc_touched = False
-        for u, u2 in self.pattern.edges():
-            if v in self.eligible[u]:
-                if w in self.match[u2]:
-                    self._cnt[(u, u2, v)] += 1
-                    self.stats.counter_updates += 1
-                    if v in self.candt[u]:
-                        cs_touched = True
-                elif (
-                    w in self.candt[u2]
-                    and v in self.candt[u]
-                    and (u, u2) in self._scc_edges
-                ):
-                    cc_scc_touched = True
-        return cs_touched, cc_scc_touched
 
     def _promote_node(self, u: PatternNode, v: Node) -> None:
         self.candt[u].remove(v)
@@ -656,128 +631,6 @@ class SimulationIndex:
                 relevant.append(upd)
         return relevant
 
-    def apply_batch(self, updates: Iterable[Update]) -> None:
-        """IncMatch: minDelta + one demotion cascade + one promotion pass."""
-        updates = list(updates)
-        self.stats.original_updates += len(updates)
-        net = net_updates(self.graph, updates)
-        self.stats.reduced_updates += len(net)
-        demote_queue: Deque[Tuple[PatternNode, Node]] = deque()
-        needs_worklist = False
-        needs_scc = False
-        worklist_seeds: List[Tuple[PatternNode, Node]] = []
-        for upd in net:
-            v, w = upd.edge
-            if upd.op == "insert":
-                self.graph.add_node(v)
-                self.graph.add_node(w)
-                self._register_node(v)
-                self._register_node(w)
-                self.graph.add_edge(v, w)
-                cs, cc_scc = self._insert_bookkeeping(v, w)
-                if cs:
-                    needs_worklist = True
-                    for u, u2 in self.pattern.edges():
-                        if v in self.candt[u] and w in self.match[u2]:
-                            worklist_seeds.append((u, v))
-                if cc_scc:
-                    needs_scc = True
-            else:
-                if not self.graph.remove_edge(v, w):
-                    self.stats.skipped_updates += 1
-                    continue
-                for u, u2 in self.pattern.edges():
-                    if v in self.eligible[u] and w in self.match[u2]:
-                        key = (u, u2, v)
-                        self._cnt[key] -= 1
-                        self.stats.counter_updates += 1
-                        if self._cnt[key] == 0 and v in self.match[u]:
-                            demote_queue.append((u, v))
-        self._demote_cascade(demote_queue)
-        if needs_scc or (needs_worklist and self._has_cycles):
-            self._promote_sweep()
-        elif needs_worklist:
-            self._promote_worklist(deque(worklist_seeds))
-
-    def apply_batch_naive(self, updates: Iterable[Update]) -> None:
-        """IncMatch_n: process unit updates one at a time (the baseline)."""
-        for upd in updates:
-            if upd.op == "insert":
-                self.insert_edge(upd.source, upd.target)
-            else:
-                self.delete_edge(upd.source, upd.target)
-
-    # ------------------------------------------------------------------
-    # Shared-graph repair (MatcherPool plumbing)
-    # ------------------------------------------------------------------
-    # When several indexes share one DiGraph, the pool mutates the graph
-    # exactly once per flush and then asks each routed index to repair
-    # itself.  These entry points therefore assume the edits are already
-    # in (or out of) the graph, unlike insert_edge/delete_edge/apply_batch
-    # which perform the edit themselves.
-
-    def repair_deleted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """IncMatch- for edges already removed from the shared graph."""
-        queue: Deque[Tuple[PatternNode, Node]] = deque()
-        for v, w in edges:
-            for u, u2 in self.pattern.edges():
-                if v in self.eligible[u] and w in self.match[u2]:
-                    key = (u, u2, v)
-                    self._cnt[key] -= 1
-                    self.stats.counter_updates += 1
-                    if self._cnt[key] == 0 and v in self.match[u]:
-                        queue.append((u, v))
-        self._demote_cascade(queue)
-
-    def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """IncMatch+ for edges already present in the shared graph.
-
-        Endpoints the index has never evaluated are registered first;
-        their counters are computed against the *current* graph (all batch
-        edges included), so explicit bookkeeping is only performed for
-        edges whose endpoints were both already registered.
-        """
-        edges = list(edges)
-        fresh: Set[Node] = set()
-        reg_promoted: List[Tuple[PatternNode, Node]] = []
-        for v, w in edges:
-            for node in (v, w):
-                if self._register_node(node):
-                    fresh.add(node)
-                    for u in self.pattern.nodes():
-                        if node in self.match[u]:
-                            reg_promoted.append((u, node))
-        needs_worklist = bool(reg_promoted)
-        needs_scc = False
-        for v, w in edges:
-            if v in fresh or w in fresh:
-                continue  # registration already counted this edge
-            cs, cc_scc = self._insert_bookkeeping(v, w)
-            needs_worklist = needs_worklist or cs
-            needs_scc = needs_scc or cc_scc
-        if fresh and self._has_cycles:
-            # A fresh candidate may complete an intra-SCC cycle through
-            # pre-existing edges the unit path never sees.
-            needs_scc = True
-        if needs_scc or (needs_worklist and self._has_cycles):
-            self._promote_sweep()
-            return
-        if not needs_worklist:
-            return
-        seeds: Deque[Tuple[PatternNode, Node]] = deque()
-        for v, w in edges:
-            for u, u2 in self.pattern.edges():
-                if v in self.candt[u] and w in self.match[u2]:
-                    seeds.append((u, v))
-        # Nodes promoted during registration may unlock their parents
-        # through edges outside this batch.
-        for u, z in reg_promoted:
-            for u0 in self.pattern.parents(u):
-                for p in self.graph.parents(z):
-                    if p in self.candt[u0]:
-                        seeds.append((u0, p))
-        self._promote_worklist(seeds)
-
     def release(self) -> None:
         """Release shared-eligibility leases (pool unregister); idempotent.
 
@@ -794,7 +647,22 @@ class SimulationIndex:
     # Invariant check (used by tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Assert the counter/match invariants; raises AssertionError."""
+        """Assert the eligibility/counter/match invariants; raises
+        AssertionError.  Private eligible sets must equal predicate truth
+        over the registered nodes (leased sets are the substrate's to
+        check)."""
+        if self._eligibility is None:
+            for u in self.pattern.nodes():
+                pred = self.pattern.predicate(u)
+                truth = {
+                    v
+                    for v in self.graph.nodes()
+                    if v in self._registered
+                    and pred.satisfied_by(self.graph.attrs(v))
+                }
+                assert self.eligible[u] == truth, (
+                    f"eligibility drift at {u}: {self.eligible[u] ^ truth}"
+                )
         for u, u2 in self.pattern.edges():
             for v in self.eligible[u]:
                 expect = sum(

@@ -81,3 +81,22 @@ def net_updates(graph: DiGraph, updates: Iterable[Update]) -> List[Update]:
         elif not final_present and initially_present:
             net.append(delete(*edge))
     return net
+
+
+def net_edges(
+    graph: DiGraph, updates: Iterable[Update]
+) -> Tuple[List[Tuple[Node, Node]], List[Tuple[Node, Node]]]:
+    """:func:`net_updates` split into ``(deleted, inserted)`` edge lists."""
+    net = net_updates(graph, updates)
+    return (
+        [u.edge for u in net if u.op == "delete"],
+        [u.edge for u in net if u.op == "insert"],
+    )
+
+
+def edit_edges(graph: DiGraph, deleted, inserted) -> None:
+    """Apply a netted batch to ``graph`` (inserted endpoints are created)."""
+    for v, w in deleted:
+        graph.remove_edge(v, w)
+    for v, w in inserted:
+        graph.add_edge(v, w)

@@ -4,9 +4,11 @@ The docstrings of all three incremental indexes promise the same central
 invariant — after any update stream, the maintained result equals a batch
 recomputation on the current graph.  Unit tests pin single scenarios; this
 module sweeps the invariant across random multi-flush update streams for
-every semantics, both through the raw indexes (``apply_batch``) and
-through the shared-graph :class:`~repro.engine.pool.MatcherPool` plumbing
-(routing + phased repair), which must agree with them pair for pair.
+every semantics, both through the raw indexes (``apply_batch``, unit
+``insert_edge`` / ``delete_edge`` and ``apply_batch_naive``, with node
+refreshes between flushes) and through the shared-graph
+:class:`~repro.engine.pool.MatcherPool` plumbing (routing + phased
+repair), which must agree with them pair for pair.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.engine import MatcherPool
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.inciso import IsoIndex
 from repro.incremental.incsim import SimulationIndex
+from repro.incremental.types import insert
 from repro.matching.bounded import bounded_match
 from repro.matching.isomorphism import iter_embeddings
 from repro.matching.relation import as_pairs, totalize
@@ -50,54 +53,123 @@ def assert_iso_consistent(pattern, graph, embeddings):
 
 
 # ----------------------------------------------------------------------
-# Raw indexes: apply_batch after every flush
+# Raw indexes: every standalone path, with node refreshes between flushes
 # ----------------------------------------------------------------------
+# The standalone entry points share one repair core with the pool, so the
+# from-scratch recomputation is the independent oracle here.
+PATHS = ("apply_batch", "unit", "apply_batch_naive")
+
+
+def feed(idx, path, updates):
+    """Apply one flush's updates to ``idx`` through ``path``."""
+    if path == "apply_batch":
+        idx.apply_batch(updates)
+    elif path == "apply_batch_naive":
+        idx.apply_batch_naive(updates)
+    else:
+        for upd in updates:
+            if upd.op == "insert":
+                idx.insert_edge(upd.source, upd.target)
+            else:
+                idx.delete_edge(upd.source, upd.target)
+
+
+def check_paths(data, make_index, graph, max_updates, consistent,
+                paths=PATHS):
+    """Drive one index per path, each on its own copy of ``graph``, with
+    the same drawn flushes, and check each after every flush.
+
+    A flush may refresh existing nodes (``update_node_attrs``, or
+    ``add_node`` where the index has it) and may wire in a fresh node —
+    labelled by ``add_node`` first, or attribute-less.
+    """
+    idxs = [(path, make_index(graph.copy())) for path in paths]
+    node_events = ["update_node_attrs"]
+    if hasattr(idxs[0][1], "add_node"):
+        node_events.append("add_node")
+    for flush in range(FLUSHES):
+        graph = idxs[0][1].graph
+        nodes = sorted(graph.nodes())
+        events = data.draw(st.lists(st.tuples(
+            st.sampled_from(node_events),
+            st.sampled_from(nodes),
+            st.sampled_from(LABELS),
+        ), max_size=2))
+        updates = data.draw(update_batches(graph, max_updates=max_updates))
+        if data.draw(st.booleans()):
+            fresh = 100 + flush
+            if "add_node" in node_events and data.draw(st.booleans()):
+                events.append(
+                    ("add_node", fresh, data.draw(st.sampled_from(LABELS)))
+                )
+            v = data.draw(st.sampled_from(nodes))
+            updates.append(
+                insert(v, fresh) if data.draw(st.booleans())
+                else insert(fresh, v)
+            )
+        for path, idx in idxs:
+            for method, v, label in events:
+                getattr(idx, method)(v, label=label)
+            feed(idx, path, updates)
+            consistent(idx)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_simulation_stream_matches_batch(data):
-    graph = data.draw(small_graphs())
     pattern = data.draw(small_patterns(max_bound=1, allow_star=False))
-    idx = SimulationIndex(pattern, graph)
-    for _ in range(FLUSHES):
-        idx.apply_batch(data.draw(update_batches(graph)))
-        assert_simulation_consistent(pattern, graph, idx.matches())
+
+    def consistent(idx):
+        assert_simulation_consistent(pattern, idx.graph, idx.matches())
         idx.check_invariants()
+
+    check_paths(data, lambda g: SimulationIndex(pattern, g),
+                data.draw(small_graphs()), 10, consistent)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_bounded_stream_matches_batch(data):
-    graph = data.draw(small_graphs(max_nodes=6))
     pattern = data.draw(small_patterns(max_nodes=3))
-    idx = BoundedSimulationIndex(pattern, graph)
-    for _ in range(FLUSHES):
-        idx.apply_batch(data.draw(update_batches(graph, max_updates=6)))
-        assert_bounded_consistent(pattern, graph, idx.matches())
+
+    def consistent(idx):
+        assert_bounded_consistent(pattern, idx.graph, idx.matches())
         idx.check_invariants()
+
+    check_paths(data, lambda g: BoundedSimulationIndex(pattern, g),
+                data.draw(small_graphs(max_nodes=6)), 6, consistent)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_bounded_landmark_stream_matches_batch(data):
-    graph = data.draw(small_graphs(max_nodes=6))
     pattern = data.draw(small_patterns(max_nodes=3))
-    idx = BoundedSimulationIndex(pattern, graph, distance_mode="landmark")
-    for _ in range(FLUSHES):
-        idx.apply_batch(data.draw(update_batches(graph, max_updates=6)))
-        assert_bounded_consistent(pattern, graph, idx.matches())
+
+    def consistent(idx):
+        assert_bounded_consistent(pattern, idx.graph, idx.matches())
+        idx.check_invariants()
+
+    check_paths(
+        data,
+        lambda g: BoundedSimulationIndex(pattern, g, distance_mode="landmark"),
+        data.draw(small_graphs(max_nodes=6)), 6, consistent,
+    )
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_iso_stream_matches_batch(data):
-    graph = data.draw(small_graphs(max_nodes=6))
     pattern = data.draw(
         small_patterns(max_nodes=3, max_bound=1, allow_star=False)
     )
-    idx = IsoIndex(pattern, graph)
-    for _ in range(FLUSHES):
-        idx.apply_batch(data.draw(update_batches(graph, max_updates=6)))
-        assert_iso_consistent(pattern, graph, idx.embeddings())
+
+    def consistent(idx):
+        assert_iso_consistent(pattern, idx.graph, idx.embeddings())
+
+    # IsoIndex has no naive path.
+    check_paths(data, lambda g: IsoIndex(pattern, g),
+                data.draw(small_graphs(max_nodes=6)), 6, consistent,
+                paths=PATHS[:2])
 
 
 # ----------------------------------------------------------------------

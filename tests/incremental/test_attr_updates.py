@@ -4,6 +4,7 @@ Differential property throughout: after any attribute change the index
 equals a from-scratch recomputation on the current graph.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +145,28 @@ class TestIsoIndex:
         got = {frozenset(e.items()) for e in idx.embeddings()}
         ref = {frozenset(e.items()) for e in brute_force_embeddings(p, idx.graph)}
         assert got == ref
+
+
+@pytest.mark.parametrize("index_cls", [SimulationIndex, BoundedSimulationIndex])
+def test_add_node_on_existing_node_drops_falsified_predicates(index_cls):
+    """``add_node`` on a node already in the graph re-reads every
+    predicate: ``b`` stops being a ``job = B`` node, so ``a`` loses its
+    only ``B`` child and nothing matches."""
+    g = DiGraph()
+    g.add_node("a", job="A")
+    g.add_node("b", job="B")
+    g.add_edge("a", "b")
+    p = Pattern.normal_from_labels(
+        {"A": "A", "B": "B"}, [("A", "B")], attribute="job"
+    )
+    idx = index_cls(p, g)
+    assert idx.matches() == {"A": {"a"}, "B": {"b"}}
+    idx.add_node("b", job="C")
+    assert as_pairs(idx.matches()) == set()
+    idx.check_invariants()
+    idx.add_node("b", job="B")
+    assert idx.matches() == {"A": {"a"}, "B": {"b"}}
+    idx.check_invariants()
 
 
 class TestEngine:
